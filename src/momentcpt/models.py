@@ -40,6 +40,16 @@ __all__ = [
 _COND_EPS = 1e-12
 
 
+def _ill_conditioned(mats) -> np.ndarray:
+    """Per symmetric matrix of a stack: not positive definite to within 1e12.
+
+    True when the largest eigenvalue is not positive or the smallest is at
+    most ``_COND_EPS`` times the largest.
+    """
+    eigs = np.linalg.eigvalsh(mats)
+    return (eigs[..., -1] <= 0.0) | (eigs[..., 0] <= _COND_EPS * eigs[..., -1])
+
+
 @dataclass(frozen=True)
 class MomentModel:
     """A parametric family seen through the moments of a map ``psi``.
@@ -54,7 +64,9 @@ class MomentModel:
         Open interval per parameter coordinate; ``math.inf`` marks an
         unbounded side.
     psi : callable
-        Maps a data vector of shape ``(n,)`` to an ``(n, dim)`` array.
+        Maps a data vector of shape ``(n,)`` to an ``(n, dim)`` array whose
+        row k depends on ``x[k]`` alone, so that a block of samples can be
+        mapped in one call.
     mean : callable
         ``theta -> E_theta[psi(X)]`` as a ``(dim,)`` array.
     jacobian : callable
@@ -86,10 +98,11 @@ class MomentModel:
     def contains(self, theta) -> bool:
         """True when theta lies strictly inside the parameter domain."""
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.dim,) or not np.all(np.isfinite(theta)):
+        if theta.shape != (self.dim,):
             return False
+        # NaN and infinite coordinates fail the strict comparisons
         return all(
-            lo < t < hi for t, (lo, hi) in zip(theta, self.param_domain)
+            lo < t < hi for t, (lo, hi) in zip(theta.tolist(), self.param_domain)
         )
 
     def require(self, theta) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Monte Carlo experiment harness and theoretical quantities under a change.
 
-Experiments draw samples with or without a single change point, run the test
-on each replication with independent seeded streams, and aggregate rejection
-rates and change point location statistics. Companion helpers expose the
+Experiments draw samples with or without a single change point, one seeded
+stream per replication, test them a block of replications at a time on the
+statistic core of :mod:`momentcpt.zprocess`, and aggregate rejection rates
+and change point location statistics. Companion helpers expose the
 population quantities that govern behavior under a fixed alternative: the
 pseudo-true parameter, the mixture covariance, and the deterministic drift
 toward which the partial-sum process concentrates.
@@ -24,7 +25,7 @@ from .errors import EstimationError, SingularCovariance
 from .estimator import mme, newton_solve
 from .limits import lookup_critical_value
 from .models import MomentModel, get_model
-from .zprocess import _floor_index, build_state, run_test
+from .zprocess import _floor_index, _statistic, _z_path, build_state
 
 __all__ = [
     "ExperimentConfig",
@@ -43,6 +44,9 @@ __all__ = [
 
 # Replications per worker task; fixed so aggregates do not depend on `jobs`.
 _MC_CHUNK = 250
+# Observations per block handed to the statistic core; a task with long
+# samples is tested in several blocks so that memory stays bounded.
+_BLOCK_VALUES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -160,24 +164,28 @@ def _simulate_sample(model, theta0, theta1, ustar, n, rng) -> np.ndarray:
 
 
 def _run_chunk(task):
-    (model_name, theta0, theta1, ustar, n, level, crit, seeds) = task
+    (model_name, theta0, theta1, ustar, n, crit, seeds) = task
     model = get_model(model_name)
     count = len(seeds)
     u_hats = np.full(count, np.nan)
     t_stats = np.full(count, np.nan)
-    rejects = np.zeros(count, dtype=bool)
     failures: Counter[str] = Counter()
-    for i, seed_seq in enumerate(seeds):
-        rng = np.random.default_rng(seed_seq)
-        data = _simulate_sample(model, theta0, theta1, ustar, n, rng)
-        try:
-            report = run_test(data, model, level=level, critical_value=crit)
-        except EstimationError as exc:
-            failures[type(exc).__name__] += 1
-            continue
-        u_hats[i] = report.u_hat
-        t_stats[i] = report.t_stat
-        rejects[i] = report.reject
+    rows_per_block = max(1, _BLOCK_VALUES // n)
+    for start in range(0, count, rows_per_block):
+        stop = min(start + rows_per_block, count)
+        block = np.empty((stop - start, n))
+        for i, seed_seq in enumerate(seeds[start:stop]):
+            rng = np.random.default_rng(seed_seq)
+            block[i] = _simulate_sample(model, theta0, theta1, ustar, n, rng)
+        rows = _statistic(block, model)
+        for i, exc in enumerate(rows.errors):
+            if exc is None:
+                k_hat = int(rows.k_hat[i])
+                u_hats[start + i] = k_hat / n
+                t_stats[start + i] = rows.paths[i, k_hat]
+            else:
+                failures[type(exc).__name__] += 1
+    rejects = t_stats > crit
     return u_hats, t_stats, rejects, failures
 
 
@@ -211,7 +219,6 @@ def run_experiment(
             config.theta1,
             config.ustar,
             config.n,
-            config.level,
             crit,
             children[i : i + _MC_CHUNK],
         )
@@ -435,9 +442,8 @@ def sup_zn_gap(
             estimate = mme(data, model)
         except EstimationError:
             continue
-        state = build_state(data, model)
         mean_hat = np.asarray(model.mean(estimate.theta), dtype=float)
-        z = (state.prefix - np.outer(np.arange(n + 1), mean_hat)) / n
+        z = _z_path(build_state(data, model), mean_hat)
         gaps.append(float(np.linalg.norm(z - drift, axis=1).max()))
     if not gaps:
         raise EstimationError("all replications failed")

@@ -111,6 +111,8 @@ def test_contains_excludes_boundary_and_bad_shapes():
     assert not g.contains((0.0, 1.0))
     assert not g.contains((1.0,))
     assert not g.contains((np.nan, 1.0))
+    assert not g.contains((1.0, np.inf))
+    assert not get_model("normal").contains((-np.inf, 1.0))
     b = get_model("bernoulli")
     assert not b.contains((1.0,))
     assert b.contains((0.5,))

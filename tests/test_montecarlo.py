@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 from importlib import resources
 
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentcpt import (
+    EstimationError,
     ExperimentConfig,
     alternative_oracle,
     consistency_diagnostics,
@@ -20,11 +23,14 @@ from momentcpt import (
     gamma_model,
     get_model,
     load_config,
+    lookup_critical_value,
     run_experiment,
+    run_test,
     sup_zn_convergence_check,
     sup_zn_gap,
 )
-from momentcpt.montecarlo import _location_stats, validate_config
+from momentcpt import models, montecarlo
+from momentcpt.montecarlo import _location_stats, _simulate_sample, validate_config
 
 
 def make_config(**overrides):
@@ -209,6 +215,77 @@ class TestRunExperiment:
         assert "DegenerateSample" in result.failure_counts
         assert np.isnan(result.u_hats).sum() == result.n_failed
         assert result.histogram_counts.sum() == result.n_completed
+
+
+def _newton_gamma():
+    return dataclasses.replace(
+        gamma_model(),
+        name="gamma_newton",
+        inverse_mean=None,
+        init_guess=lambda m: np.array([1.0, 1.0 / m[0]]),
+    )
+
+
+def _replay(config):
+    """The experiment redone one replication at a time through run_test."""
+    model = get_model(config.model)
+    crit = lookup_critical_value(model.dim, config.level)
+    u_hats, t_stats, rejects = [], [], []
+    failures = Counter()
+    for child in np.random.SeedSequence([config.seed, config.n]).spawn(config.m):
+        rng = np.random.default_rng(child)
+        data = _simulate_sample(
+            model, config.theta0, config.theta1, config.ustar, config.n, rng
+        )
+        try:
+            report = run_test(data, model, level=config.level, critical_value=crit)
+        except EstimationError as exc:
+            failures[type(exc).__name__] += 1
+            u_hats.append(np.nan)
+            t_stats.append(np.nan)
+            rejects.append(False)
+            continue
+        u_hats.append(report.u_hat)
+        t_stats.append(report.t_stat)
+        rejects.append(report.reject)
+    return np.array(u_hats), np.array(t_stats), np.array(rejects), dict(failures)
+
+
+# m = 300 spans two worker tasks of 250 replications
+BLOCK_CONFIGS = {
+    "gamma": dict(model="gamma", theta0=(1.0, 0.01), theta1=(1.0, 0.05), ustar=0.75, n=200, m=300),
+    "exponential": dict(model="exponential", theta0=(1.0,), theta1=(2.0,), ustar=0.5, n=60, m=300),
+    "normal": dict(model="normal", theta0=(0.0, 1.0), n=40, m=300),
+    "poisson": dict(model="poisson", theta0=(0.3,), n=12, m=300),
+    "bernoulli": dict(model="bernoulli", theta0=(0.4,), n=30, m=300),
+    "gamma_newton": dict(model="gamma_newton", theta0=(2.0, 1.0), theta1=(2.0, 0.5), ustar=0.5, n=80, m=300),
+    "bernoulli_n8": dict(model="bernoulli", theta0=(0.2,), n=8, m=60, seed=5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CONFIGS))
+def test_block_engine_matches_a_run_test_replay(name, monkeypatch):
+    monkeypatch.setitem(models._REGISTRY, "gamma_newton", _newton_gamma)
+    config = ExperimentConfig(
+        **{"seed": 11, **BLOCK_CONFIGS[name]}, record_replications=True
+    )
+    result = run_experiment(config)
+    u_hats, t_stats, rejects, failures = _replay(config)
+    np.testing.assert_array_equal(result.u_hats, u_hats)  # NaN where failed
+    assert np.array_equal(result.t_stats, t_stats, equal_nan=True)
+    np.testing.assert_array_equal(result.rejects, rejects)
+    assert result.failure_counts == failures
+    if name in ("poisson", "bernoulli_n8"):
+        assert failures  # the failing rows are exercised
+
+
+def test_long_samples_are_tested_in_several_blocks(monkeypatch):
+    config = make_config(theta1=(2.0, 1.0), ustar=0.5, m=40, record_replications=True)
+    whole = run_experiment(config)
+    monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 7 * config.n)
+    split = run_experiment(config)
+    assert np.array_equal(whole.t_stats, split.t_stats)
+    np.testing.assert_array_equal(whole.u_hats, split.u_hats)
 
 
 class TestDiagnostics:

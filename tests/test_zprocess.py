@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from momentcpt import (
+    DegenerateSample,
     SingularCovariance,
     TestReport,
+    affine_transform,
     build_state,
     change_point,
     detect,
@@ -229,3 +233,119 @@ def test_huge_single_shift_is_located_exactly():
         if detect(data, normal).k_hat == 37:
             hits += 1
     assert hits / reps >= 0.99
+
+
+def _newton_gamma():
+    return dataclasses.replace(
+        gamma_model(),
+        name="gamma~newton",
+        inverse_mean=None,
+        init_guess=lambda m: np.array([1.0, 1.0 / m[0]]),
+    )
+
+
+COMPOSED_MODELS = {
+    **{name: (get_model(name), SAFE_THETA[name]) for name in sorted(SAFE_THETA)},
+    "gamma~newton": (_newton_gamma(), SAFE_THETA["gamma"]),
+    "normal~affine": (
+        affine_transform(get_model("normal"), [[2.0, 0.0], [1.0, 1.0]], [3.0, -1.0]),
+        SAFE_THETA["normal"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSED_MODELS))
+@pytest.mark.parametrize("n", [7, 300])
+def test_composed_pieces_give_the_run_test_path_bit_for_bit(name, n):
+    model, theta = COMPOSED_MODELS[name]
+    data = model.sample(theta, np.random.default_rng(n), n)
+    report = run_test(data, model, critical_value=1.0)
+    fit = mme(data, model)
+    sigma = sigma_hat(data, fit.theta, model)
+    path = t_path(build_state(data, model), fit.theta, sigma, model)
+    assert np.array_equal(fit.theta, report.theta_hat)
+    assert np.array_equal(sigma, report.sigma_hat)
+    assert np.array_equal(path, report.t_path)
+    ridged = t_path(build_state(data, model), fit.theta, sigma, model, ridge=0.5)
+    assert np.array_equal(ridged, run_test(data, model, critical_value=1.0, ridge=0.5).t_path)
+
+
+def _counting(model):
+    calls = {"psi": 0}
+
+    def psi(x):
+        calls["psi"] += 1
+        return model.psi(x)
+
+    return dataclasses.replace(model, psi=psi), calls
+
+
+@pytest.mark.parametrize("name", ["gamma", "poisson"])
+def test_run_test_and_detect_evaluate_psi_once(name):
+    model, calls = _counting(get_model(name))
+    data = model.sample(SAFE_THETA[name], np.random.default_rng(8), 200)
+    run_test(data, model, critical_value=1.0)
+    assert calls["psi"] == 1
+    detect(data, model)
+    assert calls["psi"] == 2
+
+
+@pytest.mark.parametrize("name", ["exponential", "gamma"])
+def test_run_test_leaves_the_callers_data_alone(name):
+    # dim-1 moment maps return a view of the data; the core must not centre
+    # that view in place
+    model = get_model(name)
+    data = model.sample(SAFE_THETA[name], np.random.default_rng(3), 50)
+    kept = data.copy()
+    run_test(data, model, critical_value=1.0)
+    sigma_hat(data, mme(data, model).theta, model)
+    assert np.array_equal(data, kept)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_data_is_rejected_with_its_index(bad):
+    g = gamma_model()
+    data = np.random.default_rng(17).gamma(2.0, 1.0, 40)
+    data[17] = bad
+    theta = (2.0, 1.0)
+    calls = [
+        lambda: run_test(data, g, critical_value=1.0),
+        lambda: detect(data, g),
+        lambda: mme(data, g),
+        lambda: build_state(data, g),
+        lambda: sigma_hat(data, theta, g),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"data\[17\]"):
+            call()
+
+
+@pytest.mark.parametrize("ridge", [np.nan, np.inf, -1.0])
+def test_bad_ridge_is_rejected_by_name(ridge):
+    g = gamma_model()
+    constant = np.full(10, 3.0)
+    state = build_state(DATA_123, g)
+    calls = [
+        lambda: run_test(constant, g, critical_value=1.0, ridge=ridge),
+        lambda: detect(constant, g, ridge=ridge),
+        lambda: t_path(state, (1.0, 1.0), np.eye(2), g, ridge=ridge),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="ridge"):
+            call()
+
+
+@pytest.mark.parametrize("name", ["gamma", "exponential", "normal", "poisson"])
+@pytest.mark.parametrize("value", [3.0, 0.1, 0.3])
+@pytest.mark.parametrize("n", [10, 1000])
+def test_constant_data_is_degenerate(name, value, n):
+    # n copies of 0.1 do not sum to exactly n * 0.1, so psi_bar misses the
+    # value and the centred sample is a spurious nonzero constant
+    model = get_model(name)
+    constant = np.full(n, value)
+    with pytest.raises(DegenerateSample):
+        run_test(constant, model, critical_value=1.0)
+    with pytest.raises(DegenerateSample):
+        detect(constant, model, ridge=1.0)
+    with pytest.raises(DegenerateSample):
+        mme(constant, model)
