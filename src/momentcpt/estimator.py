@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSample, NoConvergence, OutOfDomain, SingularJacobian
-from .models import MomentModel, _COND_EPS, _ill_conditioned
+from .errors import DegenerateSample, EstimationError, NoConvergence, SingularJacobian
+from .models import MomentModel, _ill_conditioned, _near_singular
 
 __all__ = ["MMEResult", "mme", "newton_solve"]
 
@@ -89,8 +89,7 @@ def newton_solve(
         if res_norm <= tol * scale:
             return MMEResult(theta, res_norm, iteration, "newton")
         jac = np.asarray(model.jacobian(theta), dtype=float)
-        svals = np.linalg.svd(jac, compute_uv=False)
-        if svals[0] <= 0.0 or svals[-1] <= _COND_EPS * svals[0]:
+        if _near_singular(jac):
             raise SingularJacobian(
                 f"singular jacobian for model {model.name!r} at {theta!r}"
             )
@@ -223,6 +222,35 @@ def _solve(psi_bar: np.ndarray, model: MomentModel, theta_init=None):
     return result, mean
 
 
+def _fit(block: np.ndarray, model: MomentModel, theta_init=None):
+    """The moment estimate for every row of an ``(m, n)`` block of samples.
+
+    Makes one ``psi`` call and one prefix-sum pass over the block, checks
+    each row's centred covariance for degeneracy, then solves each row.
+    Returns the raw prefix sums ``(m, dim, n + 1)``, ``psi_bar`` and the
+    centred covariance per row, ``mean(theta_hat)`` per row (``psi_bar``
+    where the fit failed), and a list holding each row's
+    :class:`MMEResult`, or the :class:`~momentcpt.errors.EstimationError`
+    that :func:`mme` raises for that sample alone.
+    """
+    moments, sums, psi_bar = _moment_sums(block, model)
+    cov = _centred_cov(moments, psi_bar)
+    del moments  # free the (m, n, dim) buffer before the per-row fits
+    degenerate = _ill_conditioned(cov)
+    means = psi_bar.copy()
+    fits: list = []
+    for i in range(block.shape[0]):
+        if degenerate[i]:
+            fits.append(DegenerateSample(_DEGENERATE))
+            continue
+        try:
+            fit, means[i] = _solve(psi_bar[i], model, theta_init)
+        except EstimationError as exc:
+            fit = exc
+        fits.append(fit)
+    return sums, psi_bar, cov, means, fits
+
+
 def mme(data, model: MomentModel, theta_init=None) -> MMEResult:
     """Method of moments estimate from a full sample.
 
@@ -254,7 +282,7 @@ def mme(data, model: MomentModel, theta_init=None) -> MMEResult:
         a model without ``inverse_mean``.
     """
     data = _as_sample(data, model.dim + 1)
-    moments, _, psi_bar = _moment_sums(data[None], model)
-    if _ill_conditioned(_centred_cov(moments, psi_bar))[0]:
-        raise DegenerateSample(_DEGENERATE)
-    return _solve(psi_bar[0], model, theta_init)[0]
+    fit = _fit(data[None], model, theta_init)[-1][0]
+    if isinstance(fit, EstimationError):
+        raise fit
+    return fit

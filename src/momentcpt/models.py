@@ -50,6 +50,16 @@ def _ill_conditioned(mats) -> np.ndarray:
     return (eigs[..., -1] <= 0.0) | (eigs[..., 0] <= _COND_EPS * eigs[..., -1])
 
 
+def _near_singular(mat) -> bool:
+    """Whether a square matrix is singular to within a condition number of 1e12.
+
+    True when the largest singular value is not positive or the smallest is
+    at most ``_COND_EPS`` times the largest.
+    """
+    svals = np.linalg.svd(mat, compute_uv=False)
+    return bool(svals[0] <= 0.0 or svals[-1] <= _COND_EPS * svals[0])
+
+
 @dataclass(frozen=True)
 class MomentModel:
     """A parametric family seen through the moments of a map ``psi``.
@@ -396,13 +406,11 @@ def asymptotic_covariance(model: MomentModel, theta) -> np.ndarray:
     Raises
     ------
     SingularJacobian
-        If the Jacobian's smallest singular value is below ``1e-12`` times
-        its largest.
+        If the Jacobian is singular to within a condition number of 1e12.
     """
     theta = model.require(theta)
     jac = np.asarray(model.jacobian(theta), dtype=float)
-    svals = np.linalg.svd(jac, compute_uv=False)
-    if svals[0] <= 0.0 or svals[-1] <= _COND_EPS * svals[0]:
+    if _near_singular(jac):
         raise SingularJacobian(
             f"jacobian of model {model.name!r} at {theta!r} is singular"
         )
@@ -423,8 +431,7 @@ def affine_transform(model: MomentModel, a, b) -> MomentModel:
     b = np.asarray(b, dtype=float)
     if a.shape != (model.dim, model.dim) or b.shape != (model.dim,):
         raise ValueError("transform shapes do not match the model dimension")
-    svals = np.linalg.svd(a, compute_uv=False)
-    if svals[0] <= 0.0 or svals[-1] <= _COND_EPS * svals[0]:
+    if _near_singular(a):
         raise ValueError("transform matrix is numerically singular")
     a_inv = np.linalg.inv(a)
 

@@ -16,16 +16,16 @@ import json
 import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
 
 from .errors import EstimationError, SingularCovariance
-from .estimator import mme, newton_solve
+from .estimator import _fit, _solve
 from .limits import lookup_critical_value
-from .models import MomentModel, get_model
-from .zprocess import _floor_index, _statistic, _z_path, build_state
+from .models import MomentModel, _ill_conditioned, get_model
+from .zprocess import _floor_index, _statistic, _subtract_drift
 
 __all__ = [
     "ExperimentConfig",
@@ -42,10 +42,12 @@ __all__ = [
     "validate_config",
 ]
 
-# Replications per worker task; fixed so aggregates do not depend on `jobs`.
+# Replications per block handed to the statistic core, and per worker task.
+# Each replication has its own seed stream and is tested independently of
+# the other rows, so aggregates depend neither on the block size nor on
+# `jobs`.
 _MC_CHUNK = 250
-# Observations per block handed to the statistic core; a task with long
-# samples is tested in several blocks so that memory stays bounded.
+# Observations per block; long samples get fewer rows so memory stays bounded.
 _BLOCK_VALUES = 1 << 19
 
 
@@ -163,30 +165,35 @@ def _simulate_sample(model, theta0, theta1, ustar, n, rng) -> np.ndarray:
     return np.concatenate([head, tail])
 
 
+def _block_rows(n: int) -> int:
+    """Replications per block of samples of length ``n``."""
+    return max(1, min(_MC_CHUNK, _BLOCK_VALUES // n))
+
+
+def _sample_block(model, theta0, theta1, ustar, n, seeds) -> np.ndarray:
+    """One sample per seed stream, as the rows of a ``(len(seeds), n)`` block."""
+    block = np.empty((len(seeds), n))
+    for i, seed_seq in enumerate(seeds):
+        rng = np.random.default_rng(seed_seq)
+        block[i] = _simulate_sample(model, theta0, theta1, ustar, n, rng)
+    return block
+
+
 def _run_chunk(task):
     (model_name, theta0, theta1, ustar, n, crit, seeds) = task
     model = get_model(model_name)
-    count = len(seeds)
-    u_hats = np.full(count, np.nan)
-    t_stats = np.full(count, np.nan)
+    rows = _statistic(_sample_block(model, theta0, theta1, ustar, n, seeds), model)
+    u_hats = np.full(len(seeds), np.nan)
+    t_stats = np.full(len(seeds), np.nan)
     failures: Counter[str] = Counter()
-    rows_per_block = max(1, _BLOCK_VALUES // n)
-    for start in range(0, count, rows_per_block):
-        stop = min(start + rows_per_block, count)
-        block = np.empty((stop - start, n))
-        for i, seed_seq in enumerate(seeds[start:stop]):
-            rng = np.random.default_rng(seed_seq)
-            block[i] = _simulate_sample(model, theta0, theta1, ustar, n, rng)
-        rows = _statistic(block, model)
-        for i, exc in enumerate(rows.errors):
-            if exc is None:
-                k_hat = int(rows.k_hat[i])
-                u_hats[start + i] = k_hat / n
-                t_stats[start + i] = rows.paths[i, k_hat]
-            else:
-                failures[type(exc).__name__] += 1
-    rejects = t_stats > crit
-    return u_hats, t_stats, rejects, failures
+    for i, exc in enumerate(rows.errors):
+        if exc is None:
+            k_hat = int(rows.k_hat[i])
+            u_hats[i] = k_hat / n
+            t_stats[i] = rows.paths[i, k_hat]
+        else:
+            failures[type(exc).__name__] += 1
+    return u_hats, t_stats, t_stats > crit, failures
 
 
 def _location_stats(u_ok: np.ndarray, ustar: float):
@@ -212,6 +219,7 @@ def run_experiment(
     model = validate_config(config)
     crit = lookup_critical_value(model.dim, config.level, table)
     children = np.random.SeedSequence([config.seed, config.n]).spawn(config.m)
+    rows = _block_rows(config.n)
     tasks = [
         (
             config.model,
@@ -220,9 +228,9 @@ def run_experiment(
             config.ustar,
             config.n,
             crit,
-            children[i : i + _MC_CHUNK],
+            children[i : i + rows],
         )
-        for i in range(0, config.m, _MC_CHUNK)
+        for i in range(0, config.m, rows)
     ]
     jobs = max(1, int(jobs))
     if jobs == 1 or len(tasks) == 1:
@@ -331,17 +339,14 @@ def alternative_oracle(
     mean0 = np.asarray(model.mean(theta0), dtype=float)
     mean1 = np.asarray(model.mean(theta1), dtype=float)
     mixed = ustar * mean0 + (1.0 - ustar) * mean1
-    if model.inverse_mean is not None:
-        theta_star = model.require(model.inverse_mean(mixed))
-    else:
-        init = model.init_guess(mixed) if model.init_guess else theta0
-        theta_star = newton_solve(mixed, model, init).theta
+    theta_star = _solve(
+        mixed, model, theta0 if model.init_guess is None else None
+    )[0].theta
 
     sigma_star = ustar * np.asarray(model.cov(theta0), dtype=float) + (
         1.0 - ustar
     ) * np.asarray(model.cov(theta1), dtype=float)
-    eigs = np.linalg.eigvalsh(sigma_star)
-    if eigs[0] <= 0.0 or eigs[0] <= 1e-12 * eigs[-1]:
+    if _ill_conditioned(sigma_star):
         raise SingularCovariance(
             "mixture covariance of the alternative is singular"
         )
@@ -350,7 +355,7 @@ def alternative_oracle(
         ustar=float(ustar),
         theta_star=theta_star,
         sigma_star=sigma_star,
-        lambda_star=1.0 / float(eigs[-1]),
+        lambda_star=1.0 / float(np.linalg.eigvalsh(sigma_star)[-1]),
         mean_gap=mean0 - mean1,
     )
 
@@ -423,28 +428,47 @@ def sup_zn_gap(
 
     With ``theta1`` absent or equal to ``theta0`` the drift is zero and this
     measures the raw supremum of the partial-sum process, which shrinks at
-    the usual root-n rate under a stable model.
+    the usual root-n rate under a stable model. Replications whose estimate
+    fails are left out of the mean.
+
+    Raises
+    ------
+    ValueError
+        If ``reps < 1`` or ``n < dim + 1``, before any sampling.
+    EstimationError
+        If every replication fails.
     """
+    if reps < 1:
+        raise ValueError(f"reps must be a positive integer, got {reps!r}")
+    if n < model.dim + 1:
+        raise ValueError(
+            f"n: need at least {model.dim + 1} observations, got {n!r}"
+        )
     if theta1 is None:
         theta1 = theta0
     oracle = alternative_oracle(model, theta0, theta1, ustar)
-    grid = np.arange(n + 1) / n
-    drift = oracle.drift(grid)
+    ks = np.arange(n + 1, dtype=float)
+    drift = oracle.drift(ks / n).T
     children = np.random.SeedSequence([seed, n]).spawn(reps)
-    gaps = []
     change = tuple(np.asarray(theta1, float)) != tuple(np.asarray(theta0, float))
-    for child in children:
-        rng = np.random.default_rng(child)
-        data = _simulate_sample(
-            model, theta0, theta1 if change else None, ustar, n, rng
+    gaps = []
+    rows = _block_rows(n)
+    for start in range(0, reps, rows):
+        block = _sample_block(
+            model,
+            theta0,
+            theta1 if change else None,
+            ustar,
+            n,
+            children[start : start + rows],
         )
-        try:
-            estimate = mme(data, model)
-        except EstimationError:
-            continue
-        mean_hat = np.asarray(model.mean(estimate.theta), dtype=float)
-        z = _z_path(build_state(data, model), mean_hat)
-        gaps.append(float(np.linalg.norm(z - drift, axis=1).max()))
+        sums, _, _, means, fits = _fit(block, model)
+        dist = np.linalg.norm(_subtract_drift(sums, ks, means) / n - drift, axis=1)
+        gaps += [
+            float(dist[i].max())
+            for i, fit in enumerate(fits)
+            if not isinstance(fit, EstimationError)
+        ]
     if not gaps:
         raise EstimationError("all replications failed")
     return math.fsum(gaps) / len(gaps)
@@ -481,20 +505,6 @@ def sup_zn_convergence_check(
     }
 
 
-_CONFIG_KEYS = {
-    "model",
-    "theta0",
-    "theta1",
-    "ustar",
-    "n",
-    "m",
-    "level",
-    "seed",
-    "histogram_bins",
-}
-_REQUIRED_KEYS = {"model", "theta0", "n", "m"}
-
-
 def load_config(path) -> list[ExperimentConfig]:
     """Read experiment configs from a JSON file.
 
@@ -510,12 +520,13 @@ def load_config(path) -> list[ExperimentConfig]:
             raise ValueError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: expected a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
+    keys = [f for f in fields(ExperimentConfig) if f.name != "record_replications"]
+    unknown = set(raw) - {f.name for f in keys}
     if unknown:
         raise ValueError(
             f"{path}: unrecognized config key(s): {', '.join(sorted(unknown))}"
         )
-    missing = _REQUIRED_KEYS - set(raw)
+    missing = {f.name for f in keys if f.default is MISSING} - set(raw)
     if missing:
         raise ValueError(
             f"{path}: missing config key(s): {', '.join(sorted(missing))}"
@@ -527,19 +538,7 @@ def load_config(path) -> list[ExperimentConfig]:
 
     configs = []
     for ustar, n in itertools.product(ustar_list, n_list):
-        kwargs = dict(
-            model=raw["model"],
-            theta0=tuple(raw["theta0"]),
-            n=n,
-            m=raw["m"],
-            ustar=ustar,
-        )
-        if raw.get("theta1") is not None:
-            kwargs["theta1"] = tuple(raw["theta1"])
-        for key in ("level", "seed", "histogram_bins"):
-            if key in raw:
-                kwargs[key] = raw[key]
-        config = ExperimentConfig(**kwargs)
+        config = ExperimentConfig(**{**raw, "n": n, "ustar": ustar})
         validate_config(config)
         configs.append(config)
     return configs

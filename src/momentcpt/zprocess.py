@@ -15,10 +15,12 @@ estimates the change location.
 
 One private core, ``_statistic``, computes the test for each row of an
 ``(m, n)`` block of samples: one ``psi`` call, one pass of raw prefix sums
-``S_k`` (so ``psi_bar = S_n / n``), the fit from ``psi_bar``, the covariance
-``S + r r'`` from the centred sample covariance ``S`` and the estimating
-equation residual ``r = psi_bar - mean(theta_hat)``, a Cholesky factor, and
-``Z_n`` whitened in place in the prefix-sum buffer. :func:`run_test` and
+``S_k`` (so ``psi_bar = S_n / n``) and the fit from ``psi_bar``, which
+together are the block fit that :func:`~momentcpt.estimator.mme` runs on
+one row; then the covariance ``S + r r'`` from the centred sample
+covariance ``S`` and the estimating equation residual
+``r = psi_bar - mean(theta_hat)``, a Cholesky factor, and ``Z_n``
+whitened in place in the prefix-sum buffer. :func:`run_test` and
 :func:`detect` are its one-row case and the experiment harness feeds it
 whole blocks of replications; a row's results do not depend on the other
 rows. The public pieces :func:`build_state`, :func:`sigma_hat`,
@@ -34,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSample, EstimationError, SingularCovariance
-from .estimator import _DEGENERATE, _as_sample, _centred_cov, _moment_sums, _solve
+from .errors import EstimationError, SingularCovariance
+from .estimator import _as_sample, _centred_cov, _fit, _moment_sums
 from .models import MomentModel, _ill_conditioned
 
 __all__ = [
@@ -126,9 +128,13 @@ def _path(sums: np.ndarray, means: np.ndarray, chol: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Rows:
-    """The test on each row of a block; ``errors[i]`` is set for a failed row."""
+    """The test on each row of a block; ``errors[i]`` is set for a failed row.
 
-    theta: np.ndarray
+    ``fits[i]`` is the row's :class:`~momentcpt.estimator.MMEResult`, or
+    its estimation error when the fit failed.
+    """
+
+    fits: list
     sigma: np.ndarray
     paths: np.ndarray | None
     k_hat: np.ndarray | None
@@ -143,31 +149,13 @@ def _statistic(block: np.ndarray, model: MomentModel, ridge: float = 0.0) -> _Ro
     for that sample alone, in the same order of checks: degeneracy, the fit,
     the plug-in covariance, then the ridged covariance.
     """
-    m, d = block.shape[0], model.dim
-    moments, sums, psi_bar = _moment_sums(block, model)
-    cov = _centred_cov(moments, psi_bar)
-    del moments
-    degenerate = _ill_conditioned(cov)
-
-    errors: list = [None] * m
-    theta = np.full((m, d), np.nan)
-    means = psi_bar.copy()
-    for i in range(m):
-        if degenerate[i]:
-            errors[i] = DegenerateSample(_DEGENERATE)
-            continue
-        try:
-            result, means[i] = _solve(psi_bar[i], model)
-        except EstimationError as exc:
-            errors[i] = exc
-            continue
-        theta[i] = result.theta
-
+    sums, psi_bar, cov, means, fits = _fit(block, model)
+    errors = [f if isinstance(f, EstimationError) else None for f in fits]
     sigma = _plug_in(cov, psi_bar, means)
     checks = [(sigma, _SINGULAR_SIGMA)]
     ridged = sigma
     if ridge > 0.0:
-        ridged = sigma + ridge * np.eye(d)
+        ridged = sigma + ridge * np.eye(model.dim)
         checks.append((ridged, _SINGULAR_RIDGED))
     for mats, message in checks:
         singular = _ill_conditioned(mats)
@@ -177,10 +165,10 @@ def _statistic(block: np.ndarray, model: MomentModel, ridge: float = 0.0) -> _Ro
 
     ok = np.array([e is None for e in errors])
     if not ok.any():
-        return _Rows(theta, sigma, None, None, errors)
-    ridged = np.where(ok[:, None, None], ridged, np.eye(d))
+        return _Rows(fits, sigma, None, None, errors)
+    ridged = np.where(ok[:, None, None], ridged, np.eye(model.dim))
     paths = _path(sums, means, np.linalg.cholesky(ridged))
-    return _Rows(theta, sigma, paths, np.argmax(paths, axis=1), errors)
+    return _Rows(fits, sigma, paths, np.argmax(paths, axis=1), errors)
 
 
 def build_state(data, model: MomentModel) -> ZProcessState:
@@ -198,13 +186,6 @@ def z_at(state: ZProcessState, u: float, theta, model: MomentModel) -> np.ndarra
     mean = np.asarray(model.mean(theta), dtype=float)
     sums = np.array(state.prefix[k], dtype=float)[None, :, None]
     return _subtract_drift(sums, np.array([float(k)]), mean[None])[0, :, 0] / state.n
-
-
-def _z_path(state: ZProcessState, mean: np.ndarray) -> np.ndarray:
-    """``Z_n(k/n, theta)`` for k = 0..n as an ``(n + 1, dim)`` array."""
-    sums = np.array(state.prefix.T[None], dtype=float)
-    ks = np.arange(state.n + 1, dtype=float)
-    return _subtract_drift(sums, ks, mean[None])[0].T / state.n
 
 
 def sigma_hat(data, theta, model: MomentModel) -> np.ndarray:
@@ -278,19 +259,29 @@ class TestReport:
     k_hat: int
 
 
-def _one_sample(data, model: MomentModel, ridge: float):
+def _report(
+    data,
+    model: MomentModel,
+    ridge: float,
+    level: float | None = None,
+    critical_value: float | None = None,
+) -> TestReport:
+    """The test on one sample; it rejects only against a critical value."""
     data = _as_sample(data, model.dim + 2)
     rows = _statistic(data[None], model, ridge)
     if rows.errors[0] is not None:
         raise rows.errors[0]
     k_hat = int(rows.k_hat[0])
-    path = rows.paths[0]
-    return dict(
+    t_stat = float(rows.paths[0, k_hat])
+    return TestReport(
         n=data.shape[0],
-        theta_hat=rows.theta[0],
+        theta_hat=rows.fits[0].theta,
         sigma_hat=rows.sigma[0],
-        t_path=path,
-        t_stat=float(path[k_hat]),
+        t_path=rows.paths[0],
+        t_stat=t_stat,
+        level=level,
+        critical_value=critical_value,
+        reject=critical_value is not None and t_stat > critical_value,
         u_hat=k_hat / data.shape[0],
         k_hat=k_hat,
     )
@@ -330,13 +321,7 @@ def run_test(
         from .limits import lookup_critical_value
 
         critical_value = lookup_critical_value(model.dim, level, table)
-    fields = _one_sample(data, model, ridge)
-    return TestReport(
-        **fields,
-        level=level,
-        critical_value=float(critical_value),
-        reject=bool(fields["t_stat"] > critical_value),
-    )
+    return _report(data, model, ridge, level, float(critical_value))
 
 
 def detect(data, model: MomentModel, ridge: float = 0.0) -> TestReport:
@@ -346,12 +331,7 @@ def detect(data, model: MomentModel, ridge: float = 0.0) -> TestReport:
     ``level`` and ``critical_value`` are None and ``reject`` is False.
     """
     _check_ridge(ridge)
-    return TestReport(
-        **_one_sample(data, model, ridge),
-        level=None,
-        critical_value=None,
-        reject=False,
-    )
+    return _report(data, model, ridge)
 
 
 def change_point(report: TestReport) -> tuple[float, int]:

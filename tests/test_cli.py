@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import momentcpt
 from momentcpt.cli import main
 
 # Deterministic fixtures: periodic data has no drift in its partial sums, so
@@ -329,3 +334,29 @@ class TestSimulateCommand:
         path.write_text('{"model": "gamma", "theta0": [1, 1], "n": 50, "m": 0}')
         assert main(["simulate", str(path)]) == 1
         assert "'m'" in capsys.readouterr().err
+
+
+NO_SCIPY = """
+import sys
+import numpy as np
+import momentcpt.cli
+from momentcpt import ExperimentConfig, critical_value, gamma_model, run_experiment, run_test
+run_test(gamma_model().sample((1.0, 1.0), np.random.default_rng(0), 200), gamma_model())
+run_experiment(ExperimentConfig(model="gamma", theta0=(1.0, 1.0), n=50, m=20))
+critical_value(2, 0.05, replications=200, grid=100, seed=1)
+assert "scipy" not in sys.modules, "scipy was imported"
+"""
+
+
+def test_library_and_cli_run_without_scipy():
+    # in a fresh interpreter: the test suite itself imports scipy
+    src = str(Path(momentcpt.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

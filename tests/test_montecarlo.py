@@ -17,13 +17,17 @@ from hypothesis import strategies as st
 from momentcpt import (
     EstimationError,
     ExperimentConfig,
+    SingularCovariance,
     alternative_oracle,
+    bernoulli_model,
+    build_state,
     consistency_diagnostics,
     exponential_model,
     gamma_model,
     get_model,
     load_config,
     lookup_critical_value,
+    mme,
     run_experiment,
     run_test,
     sup_zn_convergence_check,
@@ -123,6 +127,11 @@ class TestAlternativeOracle:
     def test_rejects_bad_ustar(self):
         with pytest.raises(ValueError):
             alternative_oracle(gamma_model(), (1.0, 1.0), (2.0, 1.0), 1.0)
+
+    def test_singular_mixture_covariance(self):
+        flat = replace(exponential_model(), cov=lambda theta: np.zeros((1, 1)))
+        with pytest.raises(SingularCovariance, match="mixture covariance"):
+            alternative_oracle(flat, (1.0,), (2.0,), 0.5)
 
 
 @given(
@@ -315,6 +324,14 @@ class TestDiagnostics:
         assert coarse > fine > 0.0
         assert 1.6 <= coarse / fine <= 2.5
 
+    def test_sup_zn_gap_rejects_bad_arguments_before_sampling(self):
+        e = exponential_model()
+        for reps in (0, -3):
+            with pytest.raises(ValueError, match="reps"):
+                sup_zn_gap(e, (1.0,), n=50, reps=reps)
+        with pytest.raises(ValueError, match="n: need at least 3 observations"):
+            sup_zn_gap(gamma_model(), (1.0, 1.0), n=2, reps=5)
+
     def test_sup_zn_convergence_check_returns_per_n_values(self):
         config = make_config(
             theta0=(1.0, 0.01),
@@ -385,3 +402,53 @@ class TestConfigFiles:
         for config in configs:
             assert config.model == "gamma"
             validate_config(config)
+
+
+def _gap_replay(model, theta0, theta1, ustar, n, reps, seed):
+    """``sup_zn_gap`` redone one replication at a time from public pieces."""
+    drift = alternative_oracle(model, theta0, theta1 or theta0, ustar).drift(
+        np.arange(n + 1) / n
+    )
+    ks = np.arange(n + 1, dtype=float)[:, None]
+    gaps, failed = [], 0
+    for child in np.random.SeedSequence([seed, n]).spawn(reps):
+        rng = np.random.default_rng(child)
+        data = _simulate_sample(model, theta0, theta1, ustar, n, rng)
+        try:
+            fit = mme(data, model)
+        except EstimationError:
+            failed += 1
+            continue
+        prefix = build_state(data, model).prefix
+        z = (prefix - ks * model.mean(fit.theta)) / n
+        gaps.append(float(np.linalg.norm(z - drift, axis=1).max()))
+    return math.fsum(gaps) / len(gaps), failed
+
+
+GAP_CASES = {
+    "exponential_null": (exponential_model(), (1.0,), None, 0.5, 250, 300, 60),
+    "gamma_change": (gamma_model(), (1.0, 0.01), (1.0, 0.05), 0.75, 300, 80, 3),
+    "bernoulli_n8": (bernoulli_model(), (0.2,), None, 0.5, 8, 60, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAP_CASES))
+def test_sup_zn_gap_matches_a_per_replication_replay(name):
+    model, theta0, theta1, ustar, n, reps, seed = GAP_CASES[name]
+    expected, failed = _gap_replay(model, theta0, theta1, ustar, n, reps, seed)
+    assert sup_zn_gap(model, theta0, theta1, ustar, n=n, reps=reps, seed=seed) == expected
+    if name == "bernoulli_n8":
+        assert failed > 0  # failing rows are skipped, not averaged
+
+
+def test_sup_zn_gap_evaluates_psi_once_per_block():
+    base = exponential_model()
+    calls = {"psi": 0}
+
+    def psi(x):
+        calls["psi"] += 1
+        return base.psi(x)
+
+    model = replace(base, psi=psi)
+    sup_zn_gap(model, (1.0,), n=100, reps=300, seed=1)
+    assert calls["psi"] == 2  # blocks of 250 and 50 replications
