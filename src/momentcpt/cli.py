@@ -69,102 +69,72 @@ def _fmt_vec(vec) -> str:
     return " ".join(f"{v:.6g}" for v in vec)
 
 
-def _resolve_critical_value(args, dim: int) -> float:
-    if args.table is not None:
-        return limits.lookup_critical_value(dim, args.level, args.table)
-    if args.simulate_critval:
-        table = limits.critical_value(
-            dim,
-            args.level,
-            replications=args.critval_replications,
-            seed=args.seed,
-            jobs=args.jobs,
-        )
-        return table.quantiles[float(args.level)]
-    return limits.lookup_critical_value(dim, args.level, None)
+def _print_json(payload) -> None:
+    print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def cmd_test(args) -> int:
-    data = _read_data(args.data)
-    model = get_model(args.model)
-    crit = _resolve_critical_value(args, model.dim)
-    report = zprocess.run_test(
-        data, model, level=args.level, critical_value=crit, ridge=args.ridge
-    )
-    if args.dump_path:
-        _write_path_dump(args.dump_path, report)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "command": "test",
-                    "model": model.name,
-                    "n": report.n,
-                    "level": report.level,
-                    "theta_hat": [float(t) for t in report.theta_hat],
-                    "t_stat": report.t_stat,
-                    "critical_value": report.critical_value,
-                    "reject": report.reject,
-                    "u_hat": report.u_hat,
-                    "k_hat": report.k_hat,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        print(f"model: {model.name} (dim {model.dim})")
-        print(f"n: {report.n}")
-        print(f"theta_hat: {_fmt_vec(report.theta_hat)}")
-        print(f"statistic: {report.t_stat:.6g}")
+def _print_report(model, report) -> None:
+    print(f"model: {model.name} (dim {model.dim})")
+    print(f"n: {report.n}")
+    print(f"theta_hat: {_fmt_vec(report.theta_hat)}")
+    print(f"statistic: {report.t_stat:.6g}")
+    tested = report.critical_value is not None
+    if tested:
         print(
             f"critical value: {report.critical_value:.6g} "
             f"(level {report.level:g})"
         )
-        print(
-            "decision: change detected"
-            if report.reject
-            else "decision: no change detected"
-        )
-        note = "" if report.reject else ", not significant"
-        print(f"u_hat: {report.u_hat:.6g} (k = {report.k_hat}{note})")
-    return 2 if report.reject else 0
+        decision = "change detected" if report.reject else "no change detected"
+        print(f"decision: {decision}")
+    note = ", not significant" if tested and not report.reject else ""
+    print(f"u_hat: {report.u_hat:.6g} (k = {report.k_hat}{note})")
 
 
-def cmd_detect(args) -> int:
+def cmd_report(args) -> int:
+    """``test`` and ``detect``: one report, with a decision only from ``test``."""
     data = _read_data(args.data)
     model = get_model(args.model)
-    report = zprocess.detect(data, model, ridge=args.ridge)
+    if args.command == "detect":
+        report = zprocess.detect(data, model, ridge=args.ridge)
+    else:
+        table = args.table
+        if table is None and args.simulate_critval:
+            table = limits.critical_value(
+                model.dim,
+                args.level,
+                replications=args.critval_replications,
+                seed=args.seed,
+                jobs=args.jobs,
+            )
+        report = zprocess.run_test(
+            data, model, level=args.level, table=table, ridge=args.ridge
+        )
     if args.dump_path:
         _write_path_dump(args.dump_path, report)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "command": "detect",
-                    "model": model.name,
-                    "n": report.n,
-                    "theta_hat": [float(t) for t in report.theta_hat],
-                    "t_stat": report.t_stat,
-                    "u_hat": report.u_hat,
-                    "k_hat": report.k_hat,
-                },
-                indent=2,
-                sort_keys=True,
-            )
+    payload = {
+        "command": args.command,
+        "model": model.name,
+        "n": report.n,
+        "theta_hat": [float(t) for t in report.theta_hat],
+        "t_stat": report.t_stat,
+        "u_hat": report.u_hat,
+        "k_hat": report.k_hat,
+    }
+    if report.critical_value is not None:
+        payload.update(
+            level=report.level,
+            critical_value=report.critical_value,
+            reject=report.reject,
         )
+    if args.json:
+        _print_json(payload)
     else:
-        print(f"model: {model.name} (dim {model.dim})")
-        print(f"n: {report.n}")
-        print(f"theta_hat: {_fmt_vec(report.theta_hat)}")
-        print(f"statistic: {report.t_stat:.6g}")
-        print(f"u_hat: {report.u_hat:.6g} (k = {report.k_hat})")
-    return 0
+        _print_report(model, report)
+    return 2 if report.reject else 0
 
 
 def cmd_critval(args) -> int:
     rows: dict = {}
-    tables = []
     for dim in args.dim:
         table = limits.critical_value(
             dim,
@@ -174,7 +144,6 @@ def cmd_critval(args) -> int:
             seed=args.seed,
             jobs=args.jobs,
         )
-        tables.append(table)
         rows.update(limits.rows_from_table(table))
     if args.out:
         merged: dict = {}
@@ -185,26 +154,22 @@ def cmd_critval(args) -> int:
         merged.update(rows)
         limits.write_table_file(args.out, merged)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "command": "critval",
-                    "rows": [
-                        {
-                            "dim": dim,
-                            "level": level,
-                            "value": row.value,
-                            "stderr": row.stderr,
-                            "replications": row.replications,
-                            "grid": row.grid_points,
-                            "seed": row.seed,
-                        }
-                        for (dim, level), row in sorted(rows.items())
-                    ],
-                },
-                indent=2,
-                sort_keys=True,
-            )
+        _print_json(
+            {
+                "command": "critval",
+                "rows": [
+                    {
+                        "dim": dim,
+                        "level": level,
+                        "value": row.value,
+                        "stderr": row.stderr,
+                        "replications": row.replications,
+                        "grid": row.grid_points,
+                        "seed": row.seed,
+                    }
+                    for (dim, level), row in sorted(rows.items())
+                ],
+            }
         )
     else:
         for (dim, level), row in sorted(rows.items()):
@@ -216,48 +181,35 @@ def cmd_critval(args) -> int:
     return 0
 
 
+def _repr_or_blank(value) -> str:
+    return "" if value is None else repr(value)
+
+
 def _result_row(result) -> dict:
     config = result.config
     return {
         "model": config.model,
-        "theta0": ";".join(repr(t) for t in config.theta0),
-        "theta1": ";".join(repr(t) for t in config.theta1)
-        if config.theta1 is not None
-        else "",
-        "ustar": repr(config.ustar) if config.ustar is not None else "",
+        "theta0": ";".join(map(repr, config.theta0)),
+        "theta1": ";".join(map(repr, config.theta1 or ())),
+        "ustar": _repr_or_blank(config.ustar),
         "n": config.n,
         "m": config.m,
         "level": repr(config.level),
         "seed": config.seed,
         "rejection_rate": repr(result.rejection_rate),
         "n_failed": result.n_failed,
-        "u_hat_mean": repr(result.u_hat_mean) if result.u_hat_mean is not None else "",
-        "u_hat_sd": repr(result.u_hat_sd) if result.u_hat_sd is not None else "",
-        "u_hat_rmse": repr(result.u_hat_rmse) if result.u_hat_rmse is not None else "",
+        "u_hat_mean": _repr_or_blank(result.u_hat_mean),
+        "u_hat_sd": _repr_or_blank(result.u_hat_sd),
+        "u_hat_rmse": _repr_or_blank(result.u_hat_rmse),
     }
 
 
 def _write_simulate_csv(out_prefix: str, results) -> None:
-    fields = [
-        "model",
-        "theta0",
-        "theta1",
-        "ustar",
-        "n",
-        "m",
-        "level",
-        "seed",
-        "rejection_rate",
-        "n_failed",
-        "u_hat_mean",
-        "u_hat_sd",
-        "u_hat_rmse",
-    ]
+    rows = [_result_row(result) for result in results]
     with open(f"{out_prefix}.csv", "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=fields)
+        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
         writer.writeheader()
-        for result in results:
-            writer.writerow(_result_row(result))
+        writer.writerows(rows)
     with open(f"{out_prefix}_hist.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["ustar", "n", "bin_left", "bin_right", "count"])
@@ -265,12 +217,11 @@ def _write_simulate_csv(out_prefix: str, results) -> None:
             if result.histogram_counts is None:
                 continue
             config = result.config
-            ustar = repr(config.ustar) if config.ustar is not None else ""
             edges = result.histogram_edges
             for i, count in enumerate(result.histogram_counts):
                 writer.writerow(
                     [
-                        ustar,
+                        _repr_or_blank(config.ustar),
                         config.n,
                         repr(float(edges[i])),
                         repr(float(edges[i + 1])),
@@ -308,23 +259,19 @@ def cmd_simulate(args) -> int:
     if args.out:
         _write_simulate_csv(args.out, results)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "command": "simulate",
-                    "results": [
-                        {
-                            **_result_row(r),
-                            "n_completed": r.n_completed,
-                            "critical_value": r.critical_value,
-                            "failure_counts": r.failure_counts,
-                        }
-                        for r in results
-                    ],
-                },
-                indent=2,
-                sort_keys=True,
-            )
+        _print_json(
+            {
+                "command": "simulate",
+                "results": [
+                    {
+                        **_result_row(r),
+                        "n_completed": r.n_completed,
+                        "critical_value": r.critical_value,
+                        "failure_counts": r.failure_counts,
+                    }
+                    for r in results
+                ],
+            }
         )
     else:
         for result in results:
@@ -344,10 +291,26 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="momentcpt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    test = sub.add_parser("test", help="run the change point test on a data file")
-    test.add_argument("data", help="text file, one observation per line")
-    test.add_argument(
+    # options shared by several subcommands; argparse lists them first
+    json_out = argparse.ArgumentParser(add_help=False)
+    json_out.add_argument("--json", action="store_true")
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=int, default=1)
+    sample = argparse.ArgumentParser(add_help=False, parents=[json_out])
+    sample.add_argument("data", help="text file, one observation per line")
+    sample.add_argument(
         "--model", required=True, choices=model_names(), help="model family"
+    )
+    sample.add_argument("--ridge", type=float, default=0.0)
+    sample.add_argument(
+        "--dump-path", default=None, help="write the statistic path as CSV"
+    )
+    sample.set_defaults(func=cmd_report)
+
+    test = sub.add_parser(
+        "test",
+        parents=[sample, jobs],
+        help="run the change point test on a data file",
     )
     test.add_argument("--level", type=float, default=0.05)
     test.add_argument("--table", default=None, help="critical value table file")
@@ -363,21 +326,13 @@ def _build_parser() -> _Parser:
         help="replications for --simulate-critval",
     )
     test.add_argument("--seed", type=int, default=limits.DEFAULT_SEED)
-    test.add_argument("--jobs", type=int, default=1)
-    test.add_argument("--ridge", type=float, default=0.0)
-    test.add_argument("--dump-path", default=None, help="write the statistic path as CSV")
-    test.add_argument("--json", action="store_true")
-    test.set_defaults(func=cmd_test)
+    sub.add_parser(
+        "detect", parents=[sample], help="locate the best change candidate"
+    )
 
-    detect = sub.add_parser("detect", help="locate the best change candidate")
-    detect.add_argument("data")
-    detect.add_argument("--model", required=True, choices=model_names())
-    detect.add_argument("--ridge", type=float, default=0.0)
-    detect.add_argument("--dump-path", default=None)
-    detect.add_argument("--json", action="store_true")
-    detect.set_defaults(func=cmd_detect)
-
-    critval = sub.add_parser("critval", help="simulate critical values")
+    critval = sub.add_parser(
+        "critval", parents=[json_out, jobs], help="simulate critical values"
+    )
     critval.add_argument(
         "--dim", type=_int_list, required=True, help="dimension(s), e.g. 2 or 1,2,3"
     )
@@ -389,18 +344,18 @@ def _build_parser() -> _Parser:
     )
     critval.add_argument("--grid", type=int, default=limits.DEFAULT_GRID)
     critval.add_argument("--seed", type=int, default=limits.DEFAULT_SEED)
-    critval.add_argument("--jobs", type=int, default=1)
     critval.add_argument("--out", default=None, help="table file to create or update")
-    critval.add_argument("--json", action="store_true")
     critval.set_defaults(func=cmd_critval)
 
-    simulate = sub.add_parser("simulate", help="run experiments from a config file")
+    simulate = sub.add_parser(
+        "simulate",
+        parents=[json_out, jobs],
+        help="run experiments from a config file",
+    )
     simulate.add_argument("config", help="JSON experiment config")
     simulate.add_argument("--seed", type=int, default=None, help="override the config seed")
-    simulate.add_argument("--jobs", type=int, default=1)
     simulate.add_argument("--table", default=None, help="critical value table file")
     simulate.add_argument("--out", default=None, help="prefix for CSV outputs")
-    simulate.add_argument("--json", action="store_true")
     simulate.set_defaults(func=cmd_simulate)
     return parser
 

@@ -182,6 +182,11 @@ class TableRow(NamedTuple):
     seed: int
 
 
+def _check_level(level) -> None:
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must lie in (0, 1), got {level!r}")
+
+
 def _key(dim: int, level: float) -> tuple[int, float]:
     return int(dim), round(float(level), 10)
 
@@ -254,6 +259,7 @@ def lookup_critical_value(dim: int, level: float, table=None) -> float:
     mapping of rows as returned by :func:`read_table_file`, or a
     :class:`CriticalValueTable`.
     """
+    _check_level(level)
     if isinstance(table, CriticalValueTable):
         rows = rows_from_table(table)
     elif table is None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
@@ -51,6 +52,21 @@ _MC_CHUNK = 250
 _BLOCK_VALUES = 1 << 19
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _reals(key: str, value) -> tuple[float, ...]:
+    is_list = np.iterable(value) and not isinstance(value, str)
+    if not (is_list and all(map(_is_real, value))):
+        raise ValueError(f"config key '{key}': must be a list of numbers")
+    return tuple(float(t) for t in value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One simulation experiment.
@@ -73,27 +89,25 @@ class ExperimentConfig:
     record_replications: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "theta0", tuple(float(t) for t in self.theta0))
+        if not isinstance(self.model, str):
+            raise ValueError("config key 'model': must be a model name")
+        object.__setattr__(self, "theta0", _reals("theta0", self.theta0))
         if self.theta1 is not None:
-            object.__setattr__(
-                self, "theta1", tuple(float(t) for t in self.theta1)
-            )
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError("config key 'n': must be a positive integer")
-        if not isinstance(self.m, int) or self.m < 1:
-            raise ValueError("config key 'm': must be a positive integer")
-        if not 0.0 < self.level < 1.0:
-            raise ValueError("config key 'level': must lie in (0, 1)")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError("config key 'seed': must be a non-negative integer")
-        if self.histogram_bins < 0:
-            raise ValueError("config key 'histogram_bins': must be >= 0")
+            object.__setattr__(self, "theta1", _reals("theta1", self.theta1))
+        for key, low in (("n", 1), ("m", 1), ("seed", 0), ("histogram_bins", 0)):
+            value = getattr(self, key)
+            if not _is_integer(value) or value < low:
+                kind = "positive" if low else "non-negative"
+                raise ValueError(f"config key '{key}': must be a {kind} integer")
+            object.__setattr__(self, key, int(value))
+        for key in ("level", "ustar"):
+            value = getattr(self, key)
+            if value is not None and not (_is_real(value) and 0.0 < value < 1.0):
+                raise ValueError(f"config key '{key}': must be a number in (0, 1)")
         if (self.theta1 is None) != (self.ustar is None):
             raise ValueError(
                 "config keys 'theta1' and 'ustar' must be given together"
             )
-        if self.ustar is not None and not 0.0 < self.ustar < 1.0:
-            raise ValueError("config key 'ustar': must lie in (0, 1)")
         if self.theta1 is not None and self.theta1 == self.theta0:
             raise ValueError(
                 "config key 'theta1': must differ from theta0 "
@@ -180,20 +194,11 @@ def _sample_block(model, theta0, theta1, ustar, n, seeds) -> np.ndarray:
 
 
 def _run_chunk(task):
-    (model_name, theta0, theta1, ustar, n, crit, seeds) = task
+    (model_name, theta0, theta1, ustar, n, seeds) = task
     model = get_model(model_name)
     rows = _statistic(_sample_block(model, theta0, theta1, ustar, n, seeds), model)
-    u_hats = np.full(len(seeds), np.nan)
-    t_stats = np.full(len(seeds), np.nan)
-    failures: Counter[str] = Counter()
-    for i, exc in enumerate(rows.errors):
-        if exc is None:
-            k_hat = int(rows.k_hat[i])
-            u_hats[i] = k_hat / n
-            t_stats[i] = rows.paths[i, k_hat]
-        else:
-            failures[type(exc).__name__] += 1
-    return u_hats, t_stats, t_stats > crit, failures
+    failures = Counter(type(e).__name__ for e in rows.errors if e is not None)
+    return rows.u_hats, rows.t_stats, failures
 
 
 def _location_stats(u_ok: np.ndarray, ustar: float):
@@ -227,7 +232,6 @@ def run_experiment(
             config.theta1,
             config.ustar,
             config.n,
-            crit,
             children[i : i + rows],
         )
         for i in range(0, config.m, rows)
@@ -239,12 +243,11 @@ def run_experiment(
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             parts = list(pool.map(_run_chunk, tasks))
 
-    u_hats = np.concatenate([p[0] for p in parts])
-    t_stats = np.concatenate([p[1] for p in parts])
-    rejects = np.concatenate([p[2] for p in parts])
-    failures: Counter[str] = Counter()
-    for p in parts:
-        failures.update(p[3])
+    u_parts, t_parts, failure_parts = zip(*parts)
+    u_hats = np.concatenate(u_parts)
+    t_stats = np.concatenate(t_parts)
+    rejects = t_stats > crit
+    failures = sum(failure_parts, Counter())
 
     ok = ~np.isnan(u_hats)
     n_completed = int(ok.sum())
@@ -541,4 +544,6 @@ def load_config(path) -> list[ExperimentConfig]:
         config = ExperimentConfig(**{**raw, "n": n, "ustar": ustar})
         validate_config(config)
         configs.append(config)
+    if not configs:
+        raise ValueError(f"{path}: the lists of 'n' and 'ustar' give no experiment")
     return configs

@@ -38,6 +38,7 @@ import numpy as np
 
 from .errors import EstimationError, SingularCovariance
 from .estimator import _as_sample, _centred_cov, _fit, _moment_sums
+from .limits import _check_level, lookup_critical_value
 from .models import MomentModel, _ill_conditioned
 
 __all__ = [
@@ -131,13 +132,17 @@ class _Rows:
     """The test on each row of a block; ``errors[i]`` is set for a failed row.
 
     ``fits[i]`` is the row's :class:`~momentcpt.estimator.MMEResult`, or
-    its estimation error when the fit failed.
+    its estimation error when the fit failed. ``t_stats[i]`` and
+    ``u_hats[i] = k_hat[i] / n`` are the row's statistic and change
+    fraction, NaN for a failed row.
     """
 
     fits: list
     sigma: np.ndarray
-    paths: np.ndarray | None
-    k_hat: np.ndarray | None
+    paths: np.ndarray
+    k_hat: np.ndarray
+    t_stats: np.ndarray
+    u_hats: np.ndarray
     errors: list
 
 
@@ -149,6 +154,7 @@ def _statistic(block: np.ndarray, model: MomentModel, ridge: float = 0.0) -> _Ro
     for that sample alone, in the same order of checks: degeneracy, the fit,
     the plug-in covariance, then the ridged covariance.
     """
+    m, n = block.shape
     sums, psi_bar, cov, means, fits = _fit(block, model)
     errors = [f if isinstance(f, EstimationError) else None for f in fits]
     sigma = _plug_in(cov, psi_bar, means)
@@ -164,11 +170,12 @@ def _statistic(block: np.ndarray, model: MomentModel, ridge: float = 0.0) -> _Ro
                 errors[i] = SingularCovariance(message)
 
     ok = np.array([e is None for e in errors])
-    if not ok.any():
-        return _Rows(fits, sigma, None, None, errors)
     ridged = np.where(ok[:, None, None], ridged, np.eye(model.dim))
     paths = _path(sums, means, np.linalg.cholesky(ridged))
-    return _Rows(fits, sigma, paths, np.argmax(paths, axis=1), errors)
+    k_hat = np.argmax(paths, axis=1)
+    t_stats = np.where(ok, paths[np.arange(m), k_hat], np.nan)
+    u_hats = np.where(ok, k_hat / n, np.nan)
+    return _Rows(fits, sigma, paths, k_hat, t_stats, u_hats, errors)
 
 
 def build_state(data, model: MomentModel) -> ZProcessState:
@@ -271,8 +278,7 @@ def _report(
     rows = _statistic(data[None], model, ridge)
     if rows.errors[0] is not None:
         raise rows.errors[0]
-    k_hat = int(rows.k_hat[0])
-    t_stat = float(rows.paths[0, k_hat])
+    t_stat = float(rows.t_stats[0])
     return TestReport(
         n=data.shape[0],
         theta_hat=rows.fits[0].theta,
@@ -282,8 +288,8 @@ def _report(
         level=level,
         critical_value=critical_value,
         reject=critical_value is not None and t_stat > critical_value,
-        u_hat=k_hat / data.shape[0],
-        k_hat=k_hat,
+        u_hat=float(rows.u_hats[0]),
+        k_hat=int(rows.k_hat[0]),
     )
 
 
@@ -305,23 +311,25 @@ def run_test(
     level : float
         Test level in (0, 1).
     critical_value : float, optional
-        Explicit threshold; when omitted it is looked up for
-        ``(model.dim, level)`` in ``table`` (or the packaged table).
+        Explicit threshold, not NaN; ``inf`` never rejects. When omitted it
+        is looked up for ``(model.dim, level)`` in ``table`` (or the
+        packaged table).
     table : optional
-        Table mapping, path, or None for the packaged default; forwarded to
+        Table mapping, path, :class:`~momentcpt.limits.CriticalValueTable`,
+        or None for the packaged default; forwarded to
         :func:`momentcpt.limits.lookup_critical_value`.
     ridge : float
         Finite, non-negative diagonal inflation added to the plug-in
         covariance before inversion. Off (0.0) by default.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {level!r}")
+    _check_level(level)
     _check_ridge(ridge)
     if critical_value is None:
-        from .limits import lookup_critical_value
-
         critical_value = lookup_critical_value(model.dim, level, table)
-    return _report(data, model, ridge, level, float(critical_value))
+    critical_value = float(critical_value)
+    if math.isnan(critical_value):
+        raise ValueError("critical_value must not be NaN")
+    return _report(data, model, ridge, level, critical_value)
 
 
 def detect(data, model: MomentModel, ridge: float = 0.0) -> TestReport:

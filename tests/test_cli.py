@@ -83,10 +83,66 @@ class TestTestCommand:
         ks = [int(row.split(",")[0]) for row in lines[1:]]
         assert ks == list(range(len(STABLE) + 1))
 
+    @pytest.mark.parametrize(
+        "fixture,code,lines",
+        [
+            (
+                "stable_file",
+                0,
+                [
+                    "model: gamma (dim 2)",
+                    "n: 300",
+                    "theta_hat: 5 2",
+                    "statistic: 0.0106667",
+                    "critical value: 2.49123 (level 0.05)",
+                    "decision: no change detected",
+                    "u_hat: 0.00666667 (k = 2, not significant)",
+                ],
+            ),
+            (
+                "shifted_file",
+                2,
+                [
+                    "model: gamma (dim 2)",
+                    "n: 304",
+                    "theta_hat: 1.09558 0.0324617",
+                    "statistic: 75.6965",
+                    "critical value: 2.49123 (level 0.05)",
+                    "decision: change detected",
+                    "u_hat: 0.5 (k = 152)",
+                ],
+            ),
+        ],
+    )
+    def test_text_report_lines(self, fixture, code, lines, request, capsys):
+        path = request.getfixturevalue(fixture)
+        assert main(["test", path, "--model", "gamma"]) == code
+        assert capsys.readouterr().out.splitlines() == lines
+
+    def test_json_keys(self, stable_file, capsys):
+        assert main(["test", stable_file, "--model", "gamma", "--json"]) == 0
+        assert set(json.loads(capsys.readouterr().out)) == {
+            "command",
+            "model",
+            "n",
+            "level",
+            "theta_hat",
+            "t_stat",
+            "critical_value",
+            "reject",
+            "u_hat",
+            "k_hat",
+        }
+
     def test_unusual_level_needs_a_table(self, stable_file, capsys):
         code = main(["test", stable_file, "--model", "gamma", "--level", "0.07"])
         assert code == 1
         assert "critval" in capsys.readouterr().err
+
+    def test_level_outside_the_unit_interval_is_named(self, stable_file, capsys):
+        code = main(["test", stable_file, "--model", "gamma", "--level", "1.5"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: level must lie in (0, 1), got 1.5\n"
 
     def test_simulate_critval_covers_unusual_levels(self, stable_file, capsys):
         code = main(
@@ -160,6 +216,28 @@ class TestDetectCommand:
         assert main(["detect", shifted_file, "--model", "gamma"]) == 0
         out = capsys.readouterr().out
         assert "u_hat" in out
+
+    def test_text_report_lines(self, shifted_file, capsys):
+        assert main(["detect", shifted_file, "--model", "gamma"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "model: gamma (dim 2)",
+            "n: 304",
+            "theta_hat: 1.09558 0.0324617",
+            "statistic: 75.6965",
+            "u_hat: 0.5 (k = 152)",
+        ]
+
+    def test_json_keys(self, shifted_file, capsys):
+        assert main(["detect", shifted_file, "--model", "gamma", "--json"]) == 0
+        assert set(json.loads(capsys.readouterr().out)) == {
+            "command",
+            "model",
+            "n",
+            "theta_hat",
+            "t_stat",
+            "u_hat",
+            "k_hat",
+        }
 
     def test_detect_tiny_sample(self, tmp_path, capsys):
         path = write_data(tmp_path / "tiny.txt", [1.0, 2.5, 0.5])
@@ -299,6 +377,11 @@ class TestSimulateCommand:
         assert main(["simulate", config_file, "--out", prefix]) == 0
         capsys.readouterr()
         with open(prefix + ".csv", newline="") as handle:
+            assert handle.readline() == (
+                "model,theta0,theta1,ustar,n,m,level,seed,rejection_rate,"
+                "n_failed,u_hat_mean,u_hat_sd,u_hat_rmse\r\n"
+            )
+        with open(prefix + ".csv", newline="") as handle:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 1
         row = rows[0]
@@ -334,6 +417,23 @@ class TestSimulateCommand:
         path.write_text('{"model": "gamma", "theta0": [1, 1], "n": 50, "m": 0}')
         assert main(["simulate", str(path)]) == 1
         assert "'m'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("theta0", 5, "error: config key 'theta0'"),
+            ("n", [], "no experiment"),
+        ],
+    )
+    def test_malformed_config_is_an_error(
+        self, tmp_path, capsys, key, value, message
+    ):
+        config = {"model": "gamma", "theta0": [1.0, 1.0], "n": 50, "m": 4}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**config, key: value}))
+        prefix = str(tmp_path / "result")
+        assert main(["simulate", str(path), "--out", prefix]) == 1
+        assert message in capsys.readouterr().err
 
 
 NO_SCIPY = """

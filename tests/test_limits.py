@@ -168,3 +168,7 @@ def test_lookup_paths_and_missing_key_guidance(tmp_path):
     assert lookup_critical_value(3, 0.2, path) == table.quantiles[0.2]
     with pytest.raises(KeyError, match="critval"):
         lookup_critical_value(4, 0.123)
+    # the advice to run `momentcpt critval` only where that command works
+    for level in (1.5, float("nan"), 0.0):
+        with pytest.raises(ValueError, match="level"):
+            lookup_critical_value(2, level)

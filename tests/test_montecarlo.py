@@ -56,6 +56,10 @@ class TestConfigValidation:
         assert config.theta0 == (1.0, 1.0)
         assert not config.has_change
         assert validate_config(config).name == "gamma"
+        # numpy integers are stored as Python ints: same config, same streams
+        config = make_config(n=np.int64(50), m=np.int64(4), seed=np.int64(7))
+        assert [type(config.n), type(config.m), type(config.seed)] == [int] * 3
+        assert config == make_config(n=50, m=4, seed=7)
 
     @pytest.mark.parametrize(
         "overrides,key",
@@ -69,6 +73,20 @@ class TestConfigValidation:
             (dict(theta1=(2.0, 1.0)), "together"),
             (dict(theta1=(2.0, 1.0), ustar=1.0), "ustar"),
             (dict(theta1=(1.0, 1.0), ustar=0.5), "theta1"),
+            (dict(model=["gamma"]), "'model'"),
+            (dict(theta0=5), "'theta0'"),
+            (dict(theta0="12"), "'theta0'"),
+            (dict(theta0=(1.0, "x")), "'theta0'"),
+            (dict(theta1=[0.5, "x"], ustar=0.5), "'theta1'"),
+            (dict(n=50.0), "'n'"),
+            (dict(n=True), "'n'"),
+            (dict(m=True), "'m'"),
+            (dict(seed=1.5), "'seed'"),
+            (dict(histogram_bins="x"), "'histogram_bins'"),
+            (dict(histogram_bins=2.5), "'histogram_bins'"),
+            (dict(level="0.05"), "'level'"),
+            (dict(level=True), "'level'"),
+            (dict(theta1=(2.0, 1.0), ustar=[0.5, "x"]), "'ustar'"),
         ],
     )
     def test_bad_values_name_the_key(self, overrides, key):

@@ -143,6 +143,16 @@ def test_run_test_rejects_bad_level_and_short_data():
         run_test(np.array([1.0, 2.0, 3.0]), g, critical_value=1.0)
 
 
+def test_nan_critical_value_is_rejected_by_name():
+    # a 20x scale change halfway through: T is about 70, far above any table
+    g = gamma_model()
+    data = np.array([1.0, 2.0, 3.0, 4.0] * 38 + [20.0, 40.0, 60.0, 80.0] * 38)
+    assert run_test(data, g, critical_value=np.inf).reject is False
+    assert run_test(data, g, critical_value=-np.inf).reject is True
+    with pytest.raises(ValueError, match="critical_value"):
+        run_test(data, g, critical_value=float("nan"))
+
+
 def test_run_test_uses_packaged_table_by_default():
     g = gamma_model()
     rng = np.random.default_rng(303)
