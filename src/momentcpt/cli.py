@@ -95,20 +95,9 @@ def cmd_report(args) -> int:
     data = _read_data(args.data)
     model = get_model(args.model)
     if args.command == "detect":
-        report = zprocess.detect(data, model, ridge=args.ridge)
+        report = zprocess.detect(data, model)
     else:
-        table = args.table
-        if table is None and args.simulate_critval:
-            table = limits.critical_value(
-                model.dim,
-                args.level,
-                replications=args.critval_replications,
-                seed=args.seed,
-                jobs=args.jobs,
-            )
-        report = zprocess.run_test(
-            data, model, level=args.level, table=table, ridge=args.ridge
-        )
+        report = zprocess.run_test(data, model, level=args.level, table=args.table)
     if args.dump_path:
         _write_path_dump(args.dump_path, report)
     payload = {
@@ -301,31 +290,16 @@ def _build_parser() -> _Parser:
     sample.add_argument(
         "--model", required=True, choices=model_names(), help="model family"
     )
-    sample.add_argument("--ridge", type=float, default=0.0)
     sample.add_argument(
         "--dump-path", default=None, help="write the statistic path as CSV"
     )
     sample.set_defaults(func=cmd_report)
 
     test = sub.add_parser(
-        "test",
-        parents=[sample, jobs],
-        help="run the change point test on a data file",
+        "test", parents=[sample], help="run the change point test on a data file"
     )
     test.add_argument("--level", type=float, default=0.05)
     test.add_argument("--table", default=None, help="critical value table file")
-    test.add_argument(
-        "--simulate-critval",
-        action="store_true",
-        help="simulate the critical value instead of using a table",
-    )
-    test.add_argument(
-        "--critval-replications",
-        type=int,
-        default=limits.DEFAULT_REPLICATIONS,
-        help="replications for --simulate-critval",
-    )
-    test.add_argument("--seed", type=int, default=limits.DEFAULT_SEED)
     sub.add_parser(
         "detect", parents=[sample], help="locate the best change candidate"
     )
@@ -366,7 +340,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (EstimationError, ValueError, KeyError, OSError) as exc:
-        message = exc.args[0] if exc.args else exc
+        if isinstance(exc, OSError):
+            # args[0] of an OSError is its errno; name the file and the reason
+            message = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
+        else:
+            message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 1
 

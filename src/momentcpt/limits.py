@@ -85,6 +85,19 @@ def simulate_bridge_sup(dim: int, grid: int, rng: np.random.Generator, size=None
     return _sup_draws(dim, grid, rng, int(size))
 
 
+def _run_tasks(fn, tasks: list, jobs: int) -> list:
+    """``[fn(task) for task in tasks]``, in up to ``jobs`` worker processes.
+
+    ``jobs`` below 2, or a single task, runs in-process; results keep the
+    order of ``tasks`` either way.
+    """
+    jobs = max(1, int(jobs))
+    if jobs == 1 or len(tasks) == 1:
+        return [fn(task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        return list(pool.map(fn, tasks))
+
+
 def _chunk_worker(task) -> np.ndarray:
     dim, grid, seed_seq, count = task
     return _sup_draws(dim, grid, np.random.default_rng(seed_seq), count)
@@ -147,13 +160,7 @@ def critical_value(
     seeds = np.random.SeedSequence(seed).spawn(n_chunks)
     tasks = [(dim, grid, s, c) for s, c in zip(seeds, sizes)]
 
-    jobs = max(1, int(jobs))
-    if jobs == 1 or n_chunks == 1:
-        parts = [_chunk_worker(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, n_chunks)) as pool:
-            parts = list(pool.map(_chunk_worker, tasks))
-    draws = np.sort(np.concatenate(parts))
+    draws = np.sort(np.concatenate(_run_tasks(_chunk_worker, tasks, jobs)))
 
     quantiles: dict[float, float] = {}
     errors: dict[float, float] = {}
@@ -273,8 +280,9 @@ def lookup_critical_value(dim: int, level: float, table=None) -> float:
     except KeyError:
         raise KeyError(
             f"no tabulated critical value for dim={dim}, level={level}; "
-            f"simulate one with 'momentcpt critval --dim {dim} --level "
-            f"{level}' or pass critical_value explicitly"
+            f"simulate a table with 'momentcpt critval --dim {dim} --level "
+            f"{level} --out FILE' and pass it with '--table FILE' (in the "
+            f"library, table=FILE), or pass critical_value explicitly"
         ) from None
     value = row.value if isinstance(row, TableRow) else row
     return float(value)

@@ -16,7 +16,6 @@ import json
 import math
 import numbers
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import Sequence
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from .errors import EstimationError, SingularCovariance
 from .estimator import _fit, _solve
-from .limits import lookup_critical_value
+from .limits import _run_tasks, lookup_critical_value
 from .models import MomentModel, _ill_conditioned, get_model
 from .zprocess import _floor_index, _statistic, _subtract_drift
 
@@ -86,7 +85,6 @@ class ExperimentConfig:
     ustar: float | None = None
     theta1: tuple[float, ...] | None = None
     histogram_bins: int = 50
-    record_replications: bool = False
 
     def __post_init__(self):
         if not isinstance(self.model, str):
@@ -151,7 +149,9 @@ class ExperimentResult:
     are computed over all completed replications of a change experiment,
     not only the rejecting ones, and are None for no-change experiments.
     Replications that fail with an estimation error are excluded from the
-    aggregates and counted in ``failure_counts``.
+    aggregates and counted in ``failure_counts``. ``u_hats``, ``t_stats``
+    and ``rejects`` hold every replication in seed order, with NaN location
+    and statistic (and no rejection) for a failed one.
     """
 
     config: ExperimentConfig
@@ -165,18 +165,9 @@ class ExperimentResult:
     u_hat_rmse: float | None
     histogram_edges: np.ndarray | None
     histogram_counts: np.ndarray | None
-    u_hats: np.ndarray | None = None
-    t_stats: np.ndarray | None = None
-    rejects: np.ndarray | None = None
-
-
-def _simulate_sample(model, theta0, theta1, ustar, n, rng) -> np.ndarray:
-    if theta1 is None:
-        return model.sample(theta0, rng, n)
-    n_head = _floor_index(float(ustar), n)
-    head = model.sample(theta0, rng, n_head)
-    tail = model.sample(theta1, rng, n - n_head)
-    return np.concatenate([head, tail])
+    u_hats: np.ndarray
+    t_stats: np.ndarray
+    rejects: np.ndarray
 
 
 def _block_rows(n: int) -> int:
@@ -185,11 +176,24 @@ def _block_rows(n: int) -> int:
 
 
 def _sample_block(model, theta0, theta1, ustar, n, seeds) -> np.ndarray:
-    """One sample per seed stream, as the rows of a ``(len(seeds), n)`` block."""
+    """One sample per seed stream, as the rows of a ``(len(seeds), n)`` block.
+
+    Without ``theta1`` a row is ``n`` draws under ``theta0``; with it, the
+    first ``floor(ustar * n)`` draws are under ``theta0`` and the rest under
+    ``theta1``, from the same stream.
+    """
+    theta0 = model.require(theta0)
+    if theta1 is None:
+        n_head = n
+    else:
+        theta1 = model.require(theta1)
+        n_head = _floor_index(float(ustar), n)
     block = np.empty((len(seeds), n))
-    for i, seed_seq in enumerate(seeds):
+    for row, seed_seq in zip(block, seeds):
         rng = np.random.default_rng(seed_seq)
-        block[i] = _simulate_sample(model, theta0, theta1, ustar, n, rng)
+        row[:n_head] = model.sampler(theta0, rng, n_head)
+        if theta1 is not None:
+            row[n_head:] = model.sampler(theta1, rng, n - n_head)
     return block
 
 
@@ -236,14 +240,7 @@ def run_experiment(
         )
         for i in range(0, config.m, rows)
     ]
-    jobs = max(1, int(jobs))
-    if jobs == 1 or len(tasks) == 1:
-        parts = [_run_chunk(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            parts = list(pool.map(_run_chunk, tasks))
-
-    u_parts, t_parts, failure_parts = zip(*parts)
+    u_parts, t_parts, failure_parts = zip(*_run_tasks(_run_chunk, tasks, jobs))
     u_hats = np.concatenate(u_parts)
     t_stats = np.concatenate(t_parts)
     rejects = t_stats > crit
@@ -283,9 +280,9 @@ def run_experiment(
         u_hat_rmse=u_rmse,
         histogram_edges=edges,
         histogram_counts=counts,
-        u_hats=u_hats if config.record_replications else None,
-        t_stats=t_stats if config.record_replications else None,
-        rejects=rejects if config.record_replications else None,
+        u_hats=u_hats,
+        t_stats=t_stats,
+        rejects=rejects,
     )
 
 
@@ -398,11 +395,7 @@ def consistency_diagnostics(
     oracle = alternative_oracle(model, config.theta0, config.theta1, config.ustar)
     rows = []
     for n in n_values:
-        result = run_experiment(
-            replace(config, n=int(n), record_replications=True),
-            jobs=jobs,
-            table=table,
-        )
+        result = run_experiment(replace(config, n=int(n)), jobs=jobs, table=table)
         ok = ~np.isnan(result.u_hats)
         bound = oracle.detection_bound(int(n))
         frac = float(np.mean(result.t_stats[ok] >= 0.5 * bound))
@@ -523,7 +516,7 @@ def load_config(path) -> list[ExperimentConfig]:
             raise ValueError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: expected a JSON object")
-    keys = [f for f in fields(ExperimentConfig) if f.name != "record_replications"]
+    keys = fields(ExperimentConfig)
     unknown = set(raw) - {f.name for f in keys}
     if unknown:
         raise ValueError(

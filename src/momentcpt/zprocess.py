@@ -54,9 +54,6 @@ __all__ = [
 ]
 
 _SINGULAR_SIGMA = "plug-in covariance of psi(X) is numerically singular"
-_SINGULAR_RIDGED = (
-    "covariance is numerically singular; pass a ridge or check the data"
-)
 
 
 def _floor_index(u: float, n: int) -> int:
@@ -64,11 +61,6 @@ def _floor_index(u: float, n: int) -> int:
     # u within 1e-9 of a grid point snaps up.
     k = int(u * n + 1e-9)
     return min(max(k, 0), n)
-
-
-def _check_ridge(ridge) -> None:
-    if not (math.isfinite(ridge) and ridge >= 0.0):
-        raise ValueError(f"ridge must be finite and non-negative, got {ridge!r}")
 
 
 @dataclass(frozen=True)
@@ -146,32 +138,25 @@ class _Rows:
     errors: list
 
 
-def _statistic(block: np.ndarray, model: MomentModel, ridge: float = 0.0) -> _Rows:
+def _statistic(block: np.ndarray, model: MomentModel) -> _Rows:
     """The change point test on every row of an ``(m, n)`` block of samples.
 
-    The caller validates the data and ``ridge``. A row that fails keeps the
+    The caller validates the data. A row that fails keeps the
     :class:`~momentcpt.errors.EstimationError` that :func:`run_test` raises
     for that sample alone, in the same order of checks: degeneracy, the fit,
-    the plug-in covariance, then the ridged covariance.
+    then the plug-in covariance.
     """
     m, n = block.shape
     sums, psi_bar, cov, means, fits = _fit(block, model)
     errors = [f if isinstance(f, EstimationError) else None for f in fits]
     sigma = _plug_in(cov, psi_bar, means)
-    checks = [(sigma, _SINGULAR_SIGMA)]
-    ridged = sigma
-    if ridge > 0.0:
-        ridged = sigma + ridge * np.eye(model.dim)
-        checks.append((ridged, _SINGULAR_RIDGED))
-    for mats, message in checks:
-        singular = _ill_conditioned(mats)
-        for i in np.flatnonzero(singular):
-            if errors[i] is None:
-                errors[i] = SingularCovariance(message)
+    for i in np.flatnonzero(_ill_conditioned(sigma)):
+        if errors[i] is None:
+            errors[i] = SingularCovariance(_SINGULAR_SIGMA)
 
     ok = np.array([e is None for e in errors])
-    ridged = np.where(ok[:, None, None], ridged, np.eye(model.dim))
-    paths = _path(sums, means, np.linalg.cholesky(ridged))
+    whiten = np.where(ok[:, None, None], sigma, np.eye(model.dim))
+    paths = _path(sums, means, np.linalg.cholesky(whiten))
     k_hat = np.argmax(paths, axis=1)
     t_stats = np.where(ok, paths[np.arange(m), k_hat], np.nan)
     u_hats = np.where(ok, k_hat / n, np.nan)
@@ -190,7 +175,7 @@ def z_at(state: ZProcessState, u: float, theta, model: MomentModel) -> np.ndarra
     if not 0.0 <= u <= 1.0:
         raise ValueError(f"u must lie in [0, 1], got {u!r}")
     k = _floor_index(float(u), state.n)
-    mean = np.asarray(model.mean(theta), dtype=float)
+    mean = np.asarray(model.mean(model.require(theta)), dtype=float)
     sums = np.array(state.prefix[k], dtype=float)[None, :, None]
     return _subtract_drift(sums, np.array([float(k)]), mean[None])[0, :, 0] / state.n
 
@@ -204,14 +189,16 @@ def sigma_hat(data, theta, model: MomentModel) -> np.ndarray:
 
     Raises
     ------
+    OutOfDomain
+        If theta lies outside the domain of the model.
     SingularCovariance
         If the result has condition number above 1e12.
     ValueError
         If the data are not a one-dimensional vector of finite values.
     """
+    mean = np.asarray(model.mean(model.require(theta)), dtype=float)
     data = _as_sample(data, 1)
     moments, _, psi_bar = _moment_sums(data[None], model)
-    mean = np.asarray(model.mean(theta), dtype=float)
     sigma = _plug_in(_centred_cov(moments, psi_bar), psi_bar, mean[None])
     if _ill_conditioned(sigma)[0]:
         raise SingularCovariance(_SINGULAR_SIGMA)
@@ -219,26 +206,33 @@ def sigma_hat(data, theta, model: MomentModel) -> np.ndarray:
 
 
 def t_path(
-    state: ZProcessState,
-    theta,
-    sigma: np.ndarray,
-    model: MomentModel,
-    ridge: float = 0.0,
+    state: ZProcessState, theta, sigma: np.ndarray, model: MomentModel
 ) -> np.ndarray:
-    """Statistic path ``t[k] = n * Z_n(k/n)' (sigma + ridge I)^{-1} Z_n(k/n)``.
+    """Statistic path ``t[k] = n * Z_n(k/n)' sigma^{-1} Z_n(k/n)``.
 
     Returns an array of length ``n + 1`` with ``t[0] == 0`` and, when theta
     solves the estimating equation, ``t[n] == 0`` up to the solver residual.
     Each entry is a sum of squares of the whitened process, so none is
     negative.
+
+    Raises
+    ------
+    OutOfDomain
+        If theta lies outside the domain of the model.
+    ValueError
+        If sigma is not a finite ``(dim, dim)`` array.
+    SingularCovariance
+        If sigma has condition number above 1e12.
     """
-    _check_ridge(ridge)
-    mean = np.asarray(model.mean(theta), dtype=float)
+    mean = np.asarray(model.mean(model.require(theta)), dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    if ridge > 0.0:
-        sigma = sigma + ridge * np.eye(state.dim)
+    if sigma.shape != (model.dim, model.dim) or not np.isfinite(sigma).all():
+        raise ValueError(
+            f"sigma must be a finite ({model.dim}, {model.dim}) array, "
+            f"got shape {sigma.shape}"
+        )
     if _ill_conditioned(sigma):
-        raise SingularCovariance(_SINGULAR_RIDGED)
+        raise SingularCovariance(_SINGULAR_SIGMA)
     sums = np.array(state.prefix.T[None], dtype=float)
     return _path(sums, mean[None], np.linalg.cholesky(sigma)[None])[0]
 
@@ -269,13 +263,12 @@ class TestReport:
 def _report(
     data,
     model: MomentModel,
-    ridge: float,
     level: float | None = None,
     critical_value: float | None = None,
 ) -> TestReport:
     """The test on one sample; it rejects only against a critical value."""
     data = _as_sample(data, model.dim + 2)
-    rows = _statistic(data[None], model, ridge)
+    rows = _statistic(data[None], model)
     if rows.errors[0] is not None:
         raise rows.errors[0]
     t_stat = float(rows.t_stats[0])
@@ -299,7 +292,6 @@ def run_test(
     level: float = 0.05,
     critical_value: float | None = None,
     table=None,
-    ridge: float = 0.0,
 ) -> TestReport:
     """Run the change point test on one sample.
 
@@ -318,28 +310,23 @@ def run_test(
         Table mapping, path, :class:`~momentcpt.limits.CriticalValueTable`,
         or None for the packaged default; forwarded to
         :func:`momentcpt.limits.lookup_critical_value`.
-    ridge : float
-        Finite, non-negative diagonal inflation added to the plug-in
-        covariance before inversion. Off (0.0) by default.
     """
     _check_level(level)
-    _check_ridge(ridge)
     if critical_value is None:
         critical_value = lookup_critical_value(model.dim, level, table)
     critical_value = float(critical_value)
     if math.isnan(critical_value):
         raise ValueError("critical_value must not be NaN")
-    return _report(data, model, ridge, level, critical_value)
+    return _report(data, model, level, critical_value)
 
 
-def detect(data, model: MomentModel, ridge: float = 0.0) -> TestReport:
+def detect(data, model: MomentModel) -> TestReport:
     """Estimation-only variant of :func:`run_test`: locate, never reject.
 
     The report carries the full statistic path and the maximizing index but
     ``level`` and ``critical_value`` are None and ``reject`` is False.
     """
-    _check_ridge(ridge)
-    return _report(data, model, ridge)
+    return _report(data, model)
 
 
 def change_point(report: TestReport) -> tuple[float, int]:

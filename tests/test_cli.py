@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import os
 import subprocess
@@ -144,21 +145,34 @@ class TestTestCommand:
         assert code == 1
         assert capsys.readouterr().err == "error: level must lie in (0, 1), got 1.5\n"
 
-    def test_simulate_critval_covers_unusual_levels(self, stable_file, capsys):
-        code = main(
+    def test_unusual_level_message_names_both_steps(self, stable_file, capsys):
+        main(["test", stable_file, "--model", "gamma", "--level", "0.07"])
+        err = capsys.readouterr().err
+        assert "'momentcpt critval --dim 2 --level 0.07 --out FILE'" in err
+        assert "'--table FILE'" in err and "table=FILE" in err
+
+    def test_simulate_critval_covers_unusual_levels(
+        self, stable_file, tmp_path, capsys
+    ):
+        table = str(tmp_path / "cv.txt")
+        main(
             [
-                "test",
-                stable_file,
-                "--model",
-                "gamma",
+                "critval",
+                "--dim",
+                "2",
                 "--level",
                 "0.07",
-                "--simulate-critval",
-                "--critval-replications",
+                "--replications",
                 "400",
                 "--seed",
                 "3",
+                "--out",
+                table,
             ]
+        )
+        capsys.readouterr()
+        code = main(
+            ["test", stable_file, "--model", "gamma", "--level", "0.07", "--table", table]
         )
         assert code == 0
         assert "no change detected" in capsys.readouterr().out
@@ -209,6 +223,25 @@ class TestDataParsing:
     def test_missing_file_is_an_error(self, tmp_path, capsys):
         assert main(["test", str(tmp_path / "nope.txt"), "--model", "gamma"]) == 1
         capsys.readouterr()
+
+
+def test_file_errors_name_the_file_and_the_reason(tmp_path, stable_file, capsys):
+    missing = str(tmp_path / "missing.txt")
+    not_found = os.strerror(errno.ENOENT)
+    cases = [
+        (["test", missing, "--model", "gamma"], f"{missing}: {not_found}"),
+        (
+            ["test", stable_file, "--model", "gamma", "--table", missing],
+            f"{missing}: {not_found}",
+        ),
+        (
+            ["critval", "--dim", "1", "--replications", "100", "--grid", "50", "--out", str(tmp_path)],
+            f"{tmp_path}: {os.strerror(errno.EISDIR)}",
+        ),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestDetectCommand:

@@ -34,7 +34,8 @@ from momentcpt import (
     sup_zn_gap,
 )
 from momentcpt import models, montecarlo
-from momentcpt.montecarlo import _location_stats, _simulate_sample, validate_config
+from momentcpt.montecarlo import _location_stats, validate_config
+from momentcpt.zprocess import _floor_index
 
 
 def make_config(**overrides):
@@ -170,7 +171,7 @@ def test_location_stats_rmse_identity(u_hats, ustar):
 
 class TestRunExperiment:
     def test_same_config_reproduces_exactly(self):
-        config = make_config(m=30, record_replications=True)
+        config = make_config(m=30)
         a = run_experiment(config)
         b = run_experiment(config)
         assert a.rejection_rate == b.rejection_rate
@@ -195,7 +196,7 @@ class TestRunExperiment:
         assert result.u_hat_sd is None
         assert result.u_hat_rmse is None
         assert result.histogram_counts.sum() == result.n_completed
-        assert result.u_hats is None  # record_replications off by default
+        assert result.u_hats.shape == result.t_stats.shape == result.rejects.shape == (25,)
 
     def test_size_is_near_the_nominal_level(self):
         result = run_experiment(make_config(n=100, m=400, seed=12))
@@ -233,7 +234,6 @@ class TestRunExperiment:
             n=8,
             m=60,
             seed=5,
-            record_replications=True,
         )
         result = run_experiment(config)
         assert result.n_failed > 0
@@ -253,6 +253,15 @@ def _newton_gamma():
     )
 
 
+def _reference_sample(model, theta0, theta1, ustar, n, rng):
+    """One replication's sample, drawn with the public ``model.sample``."""
+    if theta1 is None:
+        return model.sample(theta0, rng, n)
+    n_head = _floor_index(ustar, n)
+    head = model.sample(theta0, rng, n_head)
+    return np.concatenate([head, model.sample(theta1, rng, n - n_head)])
+
+
 def _replay(config):
     """The experiment redone one replication at a time through run_test."""
     model = get_model(config.model)
@@ -261,7 +270,7 @@ def _replay(config):
     failures = Counter()
     for child in np.random.SeedSequence([config.seed, config.n]).spawn(config.m):
         rng = np.random.default_rng(child)
-        data = _simulate_sample(
+        data = _reference_sample(
             model, config.theta0, config.theta1, config.ustar, config.n, rng
         )
         try:
@@ -293,9 +302,7 @@ BLOCK_CONFIGS = {
 @pytest.mark.parametrize("name", sorted(BLOCK_CONFIGS))
 def test_block_engine_matches_a_run_test_replay(name, monkeypatch):
     monkeypatch.setitem(models._REGISTRY, "gamma_newton", _newton_gamma)
-    config = ExperimentConfig(
-        **{"seed": 11, **BLOCK_CONFIGS[name]}, record_replications=True
-    )
+    config = ExperimentConfig(**{"seed": 11, **BLOCK_CONFIGS[name]})
     result = run_experiment(config)
     u_hats, t_stats, rejects, failures = _replay(config)
     np.testing.assert_array_equal(result.u_hats, u_hats)  # NaN where failed
@@ -307,7 +314,7 @@ def test_block_engine_matches_a_run_test_replay(name, monkeypatch):
 
 
 def test_long_samples_are_tested_in_several_blocks(monkeypatch):
-    config = make_config(theta1=(2.0, 1.0), ustar=0.5, m=40, record_replications=True)
+    config = make_config(theta1=(2.0, 1.0), ustar=0.5, m=40)
     whole = run_experiment(config)
     monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 7 * config.n)
     split = run_experiment(config)
@@ -431,7 +438,7 @@ def _gap_replay(model, theta0, theta1, ustar, n, reps, seed):
     gaps, failed = [], 0
     for child in np.random.SeedSequence([seed, n]).spawn(reps):
         rng = np.random.default_rng(child)
-        data = _simulate_sample(model, theta0, theta1, ustar, n, rng)
+        data = _reference_sample(model, theta0, theta1, ustar, n, rng)
         try:
             fit = mme(data, model)
         except EstimationError:

@@ -9,6 +9,7 @@ import pytest
 
 from momentcpt import (
     DegenerateSample,
+    OutOfDomain,
     SingularCovariance,
     TestReport,
     affine_transform,
@@ -116,10 +117,8 @@ def test_t_path_ridge_rescues_singular_covariance():
     singular = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(SingularCovariance):
         t_path(state, (1.0, 1.0), singular, g)
-    path = t_path(state, (1.0, 1.0), singular, g, ridge=1e-6)
+    path = t_path(state, (1.0, 1.0), singular + 1e-6 * np.eye(2), g)
     assert np.all(np.isfinite(path))
-    with pytest.raises(ValueError):
-        t_path(state, (1.0, 1.0), singular, g, ridge=-1.0)
 
 
 def test_run_test_report_is_self_consistent():
@@ -276,8 +275,6 @@ def test_composed_pieces_give_the_run_test_path_bit_for_bit(name, n):
     assert np.array_equal(fit.theta, report.theta_hat)
     assert np.array_equal(sigma, report.sigma_hat)
     assert np.array_equal(path, report.t_path)
-    ridged = t_path(build_state(data, model), fit.theta, sigma, model, ridge=0.5)
-    assert np.array_equal(ridged, run_test(data, model, critical_value=1.0, ridge=0.5).t_path)
 
 
 def _counting(model):
@@ -330,19 +327,34 @@ def test_non_finite_data_is_rejected_with_its_index(bad):
             call()
 
 
-@pytest.mark.parametrize("ridge", [np.nan, np.inf, -1.0])
-def test_bad_ridge_is_rejected_by_name(ridge):
+@pytest.mark.parametrize(
+    "theta",
+    [(1.0, 0.0), (1.0, -1.0), (1.0, np.nan), (1.0,)],
+    ids=["zero-rate", "negative-rate", "nan", "one-coordinate"],
+)
+def test_pieces_reject_theta_outside_the_domain(theta):
     g = gamma_model()
-    constant = np.full(10, 3.0)
     state = build_state(DATA_123, g)
     calls = [
-        lambda: run_test(constant, g, critical_value=1.0, ridge=ridge),
-        lambda: detect(constant, g, ridge=ridge),
-        lambda: t_path(state, (1.0, 1.0), np.eye(2), g, ridge=ridge),
+        lambda: sigma_hat(DATA_123, theta, g),
+        lambda: t_path(state, theta, np.eye(2), g),
+        lambda: z_at(state, 0.5, theta, g),
     ]
     for call in calls:
-        with pytest.raises(ValueError, match="ridge"):
+        with pytest.raises(OutOfDomain, match="theta"):
             call()
+
+
+@pytest.mark.parametrize(
+    "sigma",
+    [np.full((2, 2), np.nan), np.array([[1.0, 0.0], [0.0, np.inf]]), np.eye(3), np.ones(2)],
+    ids=["nan", "inf", "3x3", "vector"],
+)
+def test_t_path_rejects_a_sigma_that_is_not_finite_and_square(sigma):
+    g = gamma_model()
+    state = build_state(DATA_123, g)
+    with pytest.raises(ValueError, match="sigma"):
+        t_path(state, (1.0, 1.0), sigma, g)
 
 
 @pytest.mark.parametrize("name", ["gamma", "exponential", "normal", "poisson"])
@@ -356,6 +368,6 @@ def test_constant_data_is_degenerate(name, value, n):
     with pytest.raises(DegenerateSample):
         run_test(constant, model, critical_value=1.0)
     with pytest.raises(DegenerateSample):
-        detect(constant, model, ridge=1.0)
+        detect(constant, model)
     with pytest.raises(DegenerateSample):
         mme(constant, model)
