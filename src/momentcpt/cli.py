@@ -29,11 +29,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _lines(handle, path):
+    """The lines of a text file, with a decoding error that names the file."""
+    try:
+        yield from handle
+    except UnicodeDecodeError:
+        raise ValueError(
+            f"{path}: not UTF-8 text; expected one number per line"
+        ) from None
+
+
 def _read_data(path) -> np.ndarray:
     values: list[float] = []
     maybe_header = True
-    with open(path) as handle:
-        for lineno, raw in enumerate(handle, start=1):
+    with open(path, encoding="utf-8") as handle:
+        for lineno, raw in enumerate(_lines(handle, path), start=1):
             text = raw.split("#", 1)[0].strip()
             if not text:
                 continue

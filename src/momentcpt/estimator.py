@@ -12,7 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSample, EstimationError, NoConvergence, SingularJacobian
+from .errors import (
+    DegenerateSample,
+    EstimationError,
+    NoConvergence,
+    OutOfDomain,
+    SingularJacobian,
+)
 from .models import MomentModel, _ill_conditioned, _near_singular
 
 __all__ = ["MMEResult", "mme", "newton_solve"]
@@ -135,43 +141,76 @@ def _as_sample(data, min_n: int) -> np.ndarray:
     return data
 
 
+def _not_finite(x: np.ndarray, moments: np.ndarray, sums: np.ndarray) -> ValueError:
+    """The error for a sample ``x`` whose moment average is not finite."""
+    bad = ~np.isfinite(moments).all(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        return ValueError(f"psi(data[{k}]) is not finite (data[{k}] = {float(x[k])!r})")
+    # every moment is finite, so some partial sum overflows; S_k is the first
+    k = int(np.argmin(np.isfinite(sums).all(axis=1)))
+    return ValueError(
+        f"the sum of psi(data[:{k}]) overflows (data[{k - 1}] = {float(x[k - 1])!r})"
+    )
+
+
 def _moment_sums(block: np.ndarray, model: MomentModel):
     """One ``psi`` call over an ``(m, n)`` block of samples.
 
     Returns the moments as an ``(m, n, dim)`` array that the caller may
     overwrite (it never shares memory with ``block``), their raw prefix sums
-    ``S_k`` as an ``(m, dim, n + 1)`` array with ``S_0 = 0``, and
-    ``psi_bar = S_n / n`` per row. Each prefix sum is a sequential sum, so a
-    row's values do not depend on the other rows of the block.
+    ``S_k`` as an ``(m, n + 1, dim)`` array with ``S_0 = 0``,
+    ``psi_bar = S_n / n`` per row, and per row None or the ``ValueError``
+    that names the first observation whose moments are not finite (or at
+    which their sum overflows); such a row's moments, sums and ``psi_bar``
+    are zeroed so that the later stages stay finite. Each prefix sum is a
+    sequential sum, so a row's values do not depend on the other rows of
+    the block.
     """
     m, n = block.shape
-    moments = np.asarray(model.psi(block.reshape(-1)), dtype=float)
-    if np.may_share_memory(moments, block) or not moments.flags.writeable:
-        moments = moments.copy()
-    moments = moments.reshape(m, n, model.dim)
-    sums = np.empty((m, model.dim, n + 1))
-    sums[:, :, 0] = 0.0
-    for j in range(model.dim):
-        np.cumsum(moments[:, :, j], axis=1, out=sums[:, j, 1:])
-    return moments, sums, sums[:, :, n] / n
+    # overflow is reported per row below, by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments = np.asarray(model.psi(block.reshape(-1)), dtype=float)
+        if np.may_share_memory(moments, block) or not moments.flags.writeable:
+            moments = moments.copy()
+        moments = moments.reshape(m, n, model.dim)
+        sums = np.empty((m, n + 1, model.dim))
+        sums[:, 0] = 0.0
+        if model.dim % 2 == 0 and moments.flags.c_contiguous:
+            # complex addition is componentwise, so each pair of columns is
+            # summed in one pass with the same roundings as two real passes
+            np.cumsum(moments.view(complex), axis=1, out=sums.view(complex)[:, 1:])
+        else:
+            np.cumsum(moments, axis=1, out=sums[:, 1:])
+    psi_bar = sums[:, n] / n
+    errors: list = [None] * m
+    for i in np.flatnonzero(~np.isfinite(psi_bar).all(axis=1)):
+        errors[i] = _not_finite(block[i], moments[i], sums[i])
+        moments[i] = sums[i] = psi_bar[i] = 0.0
+    return moments, sums, psi_bar, errors
 
 
 def _centred_cov(moments: np.ndarray, psi_bar: np.ndarray) -> np.ndarray:
     """Sample covariance ``(1/n) sum_k (psi_k - psi_bar)(psi_k - psi_bar)'``.
 
     Works per row of an ``(m, n, dim)`` block and centres ``moments`` in
-    place. Each entry is a pairwise sum over one contiguous row, so a row's
-    covariance does not depend on the other rows. The row and column of a
-    constant moment are exactly zero: ``psi_bar`` carries the rounding of
-    its sum, so centring would leave a spurious spread that no relative
-    conditioning check can see when ``dim == 1``.
+    place, one column at a time. Each entry is a pairwise sum over one
+    contiguous row, so a row's covariance does not depend on the other
+    rows. The row and column of a constant moment are exactly zero:
+    ``psi_bar`` carries the rounding of its sum, so centring would leave a
+    spurious spread that no relative conditioning check can see when
+    ``dim == 1``. A constant column has equal first and last entries, so
+    only those columns get the full comparison.
     """
     m, n, d = moments.shape
-    constant = np.stack(
-        [(moments[:, :, j] == moments[:, :1, j]).all(axis=1) for j in range(d)],
-        axis=1,
-    )
-    moments -= psi_bar[:, None, :]
+    maybe = moments[:, 0] == moments[:, -1]
+    constant = np.zeros((m, d), dtype=bool)
+    for j in range(d):
+        rows = np.flatnonzero(maybe[:, j])
+        if rows.size:
+            col = moments[:, :, j] if rows.size == m else moments[rows, :, j]
+            constant[rows, j] = (col == col[:, :1]).all(axis=1)
+        moments[:, :, j] -= psi_bar[:, j, None]
     cov = np.empty((m, d, d))
     prod = np.empty((m, n))
     for i in range(d):
@@ -180,6 +219,16 @@ def _centred_cov(moments: np.ndarray, psi_bar: np.ndarray) -> np.ndarray:
             cov[:, i, j] = cov[:, j, i] = prod.sum(axis=1) / n
     cov[constant[:, :, None] | constant[:, None, :]] = 0.0
     return cov
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an ``(m, dim)`` array.
+
+    Each row is one dot product, the kernel that ``np.linalg.norm`` uses for
+    a single vector, so a row's norm equals ``np.linalg.norm(row)`` bit for
+    bit (a reduction along ``axis=1`` rounds differently).
+    """
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
 
 
 _DEGENERATE = (
@@ -222,33 +271,77 @@ def _solve(psi_bar: np.ndarray, model: MomentModel, theta_init=None):
     return result, mean
 
 
-def _fit(block: np.ndarray, model: MomentModel, theta_init=None):
+@dataclass(frozen=True)
+class _BlockFit:
+    """The fit stage on each row of an ``(m, n)`` block of samples.
+
+    ``sums`` holds the raw prefix sums ``(m, n + 1, dim)``, ``psi_bar`` and
+    ``cov`` the moment average and centred covariance per row. ``theta``,
+    ``means = mean(theta)``, ``residual`` and ``iterations`` describe each
+    row's fit; a failed row has NaN ``theta`` and ``residual``, 0
+    iterations and ``means = psi_bar``, and ``errors[i]`` holds the error
+    that :func:`mme` raises for that sample alone (None for a row that fit).
+    """
+
+    sums: np.ndarray
+    psi_bar: np.ndarray
+    cov: np.ndarray
+    theta: np.ndarray
+    means: np.ndarray
+    residual: np.ndarray
+    iterations: np.ndarray
+    errors: list
+
+
+def _fit(block: np.ndarray, model: MomentModel, theta_init=None) -> _BlockFit:
     """The moment estimate for every row of an ``(m, n)`` block of samples.
 
     Makes one ``psi`` call and one prefix-sum pass over the block, checks
-    each row's centred covariance for degeneracy, then solves each row.
-    Returns the raw prefix sums ``(m, dim, n + 1)``, ``psi_bar`` and the
-    centred covariance per row, ``mean(theta_hat)`` per row (``psi_bar``
-    where the fit failed), and a list holding each row's
-    :class:`MMEResult`, or the :class:`~momentcpt.errors.EstimationError`
-    that :func:`mme` raises for that sample alone.
+    each row's centred covariance for degeneracy, then solves the rows. A
+    closed-form model is solved with one ``inverse_mean`` and one ``mean``
+    call on all rows, with the domain and the residual bound checked per
+    row; the rows that fail those checks (all rows, if ``inverse_mean``
+    raises) and every row of a Newton-only model go through :func:`_solve`
+    one at a time, which gives a failed row its own error.
     """
-    moments, sums, psi_bar = _moment_sums(block, model)
+    moments, sums, psi_bar, errors = _moment_sums(block, model)
     cov = _centred_cov(moments, psi_bar)
-    del moments  # free the (m, n, dim) buffer before the per-row fits
-    degenerate = _ill_conditioned(cov)
+    del moments  # free the (m, n, dim) buffer before the fits
+    for i in np.flatnonzero(_ill_conditioned(cov)):
+        if errors[i] is None:
+            errors[i] = DegenerateSample(_DEGENERATE)
+    m, dim = psi_bar.shape
+    theta = np.full((m, dim), np.nan)
     means = psi_bar.copy()
-    fits: list = []
-    for i in range(block.shape[0]):
-        if degenerate[i]:
-            fits.append(DegenerateSample(_DEGENERATE))
-            continue
+    residual = np.full(m, np.nan)
+    iterations = np.zeros(m, dtype=int)
+    todo = np.array([e is None for e in errors], dtype=bool)
+
+    rows = np.flatnonzero(todo)
+    if model.inverse_mean is not None and rows.size:
+        try:
+            guess = np.asarray(model.inverse_mean(psi_bar[rows]), dtype=float)
+        except OutOfDomain:
+            pass  # _solve finds the rows without a preimage
+        else:
+            lo, hi = np.array(model.param_domain, dtype=float).T
+            inside = ((guess > lo) & (guess < hi)).all(axis=1)  # NaN fails
+            rows, guess = rows[inside], guess[inside]
+            mean = np.asarray(model.mean(guess), dtype=float)
+            res = _norms(mean - psi_bar[rows])
+            fits = ~(res > 1e-8 * (1.0 + _norms(psi_bar[rows])))
+            rows = rows[fits]
+            theta[rows], means[rows], residual[rows] = guess[fits], mean[fits], res[fits]
+            todo[rows] = False
+
+    for i in np.flatnonzero(todo):
         try:
             fit, means[i] = _solve(psi_bar[i], model, theta_init)
         except EstimationError as exc:
-            fit = exc
-        fits.append(fit)
-    return sums, psi_bar, cov, means, fits
+            errors[i] = exc
+            continue
+        theta[i], residual[i], iterations[i] = fit.theta, fit.residual_norm, fit.iterations
+    return _BlockFit(sums, psi_bar, cov, theta, means, residual, iterations, errors)
 
 
 def mme(data, model: MomentModel, theta_init=None) -> MMEResult:
@@ -278,11 +371,15 @@ def mme(data, model: MomentModel, theta_init=None) -> MMEResult:
         Propagated from the Newton path.
     ValueError
         If the sample is not one-dimensional, shorter than ``dim + 1`` or
-        holds a non-finite value, or if no starting point is available for
+        holds a non-finite value, if the moments of an observation (or
+        their sum) are not finite, or if no starting point is available for
         a model without ``inverse_mean``.
     """
     data = _as_sample(data, model.dim + 1)
-    fit = _fit(data[None], model, theta_init)[-1][0]
-    if isinstance(fit, EstimationError):
-        raise fit
-    return fit
+    fit = _fit(data[None], model, theta_init)
+    if fit.errors[0] is not None:
+        raise fit.errors[0]
+    method = "newton" if model.inverse_mean is None else "closed_form"
+    return MMEResult(
+        fit.theta[0], float(fit.residual[0]), int(fit.iterations[0]), method
+    )

@@ -50,6 +50,12 @@ def _ill_conditioned(mats) -> np.ndarray:
     return (eigs[..., -1] <= 0.0) | (eigs[..., 0] <= _COND_EPS * eigs[..., -1])
 
 
+def _first(mask) -> int | None:
+    """Flat index of the first True entry of a boolean array, or None."""
+    mask = np.asarray(mask)
+    return int(np.argmax(mask)) if mask.any() else None
+
+
 def _near_singular(mat) -> bool:
     """Whether a square matrix is singular to within a condition number of 1e12.
 
@@ -78,7 +84,10 @@ class MomentModel:
         row k depends on ``x[k]`` alone, so that a block of samples can be
         mapped in one call.
     mean : callable
-        ``theta -> E_theta[psi(X)]`` as a ``(dim,)`` array.
+        ``theta -> E_theta[psi(X)]``, broadcasting over leading axes:
+        ``(..., dim) -> (..., dim)``. The value for one theta must not depend
+        on the others stacked with it, bit for bit, because the estimator
+        evaluates a whole block of fits in one call.
     jacobian : callable
         ``theta -> d mean / d theta`` as a ``(dim, dim)`` array.
     cov : callable
@@ -86,9 +95,12 @@ class MomentModel:
     sampler : callable
         ``(theta, rng, size) -> (size,)`` array of draws from the family.
     inverse_mean : callable, optional
-        Closed-form inverse of ``mean``. Raises
-        :class:`~momentcpt.errors.OutOfDomain` when the moment vector has no
-        preimage inside ``param_domain``.
+        Closed-form inverse of ``mean``, broadcasting over leading axes in the
+        same way. Raises :class:`~momentcpt.errors.OutOfDomain` when a moment
+        vector has no preimage inside ``param_domain``, with the message
+        that the first such vector alone gives. A preimage outside
+        ``param_domain`` (NaN included) may be returned instead; the
+        estimator checks the domain.
     init_guess : callable, optional
         Maps a moment vector to a starting point for the Newton solver when
         no closed-form inverse is available (or it has been removed).
@@ -143,8 +155,11 @@ def gamma_model() -> MomentModel:
         return np.column_stack((x, x * x))
 
     def mean(theta):
-        a, lam = np.asarray(theta, dtype=float)
-        return np.array([a / lam, a * (a + 1.0) / lam**2])
+        theta = np.asarray(theta, dtype=float)
+        a, lam = theta[..., 0], theta[..., 1]
+        # float_power is libm pow, as for a scalar lam**2; an array lam**2
+        # takes numpy's square fast path, which rounds differently
+        return np.stack((a / lam, a * (a + 1.0) / np.float_power(lam, 2)), axis=-1)
 
     def jacobian(theta):
         a, lam = np.asarray(theta, dtype=float)
@@ -167,14 +182,16 @@ def gamma_model() -> MomentModel:
         return rng.gamma(shape=a, scale=1.0 / lam, size=size)
 
     def inverse_mean(m):
-        m1, m2 = float(m[0]), float(m[1])
+        m = np.asarray(m, dtype=float)
+        m1, m2 = m[..., 0], m[..., 1]
         var = m2 - m1 * m1
-        if m1 <= 0.0 or var <= 0.0:
+        bad = _first((m1 <= 0.0) | (var <= 0.0))
+        if bad is not None:
             raise OutOfDomain(
                 "moment vector has no gamma preimage "
-                f"(m1={m1!r}, m2-m1^2={var!r})"
+                f"(m1={float(m1.flat[bad])!r}, m2-m1^2={float(var.flat[bad])!r})"
             )
-        return np.array([m1 * m1 / var, m1 / var])
+        return np.stack((m1 * m1 / var, m1 / var), axis=-1)
 
     return MomentModel(
         name="gamma",
@@ -200,8 +217,7 @@ def exponential_model() -> MomentModel:
         return np.asarray(x, dtype=float)[:, None]
 
     def mean(theta):
-        lam = float(np.asarray(theta, dtype=float)[0])
-        return np.array([1.0 / lam])
+        return 1.0 / np.asarray(theta, dtype=float)
 
     def jacobian(theta):
         lam = float(np.asarray(theta, dtype=float)[0])
@@ -215,10 +231,13 @@ def exponential_model() -> MomentModel:
         return rng.exponential(scale=1.0 / theta[0], size=size)
 
     def inverse_mean(m):
-        m1 = float(m[0])
-        if m1 <= 0.0:
-            raise OutOfDomain(f"mean {m1!r} has no exponential preimage")
-        return np.array([1.0 / m1])
+        m = np.asarray(m, dtype=float)
+        bad = _first(m[..., 0] <= 0.0)
+        if bad is not None:
+            raise OutOfDomain(
+                f"mean {float(m[..., 0].flat[bad])!r} has no exponential preimage"
+            )
+        return 1.0 / m
 
     return MomentModel(
         name="exponential",
@@ -245,8 +264,9 @@ def normal_model() -> MomentModel:
         return np.column_stack((x, x * x))
 
     def mean(theta):
-        mu, var = np.asarray(theta, dtype=float)
-        return np.array([mu, var + mu * mu])
+        theta = np.asarray(theta, dtype=float)
+        mu, var = theta[..., 0], theta[..., 1]
+        return np.stack((mu, var + mu * mu), axis=-1)
 
     def jacobian(theta):
         mu, _ = np.asarray(theta, dtype=float)
@@ -264,13 +284,16 @@ def normal_model() -> MomentModel:
         return rng.normal(loc=mu, scale=math.sqrt(var), size=size)
 
     def inverse_mean(m):
-        m1, m2 = float(m[0]), float(m[1])
+        m = np.asarray(m, dtype=float)
+        m1, m2 = m[..., 0], m[..., 1]
         var = m2 - m1 * m1
-        if var <= 0.0:
+        bad = _first(var <= 0.0)
+        if bad is not None:
             raise OutOfDomain(
-                f"moment vector implies non-positive variance {var!r}"
+                "moment vector implies non-positive variance "
+                f"{float(var.flat[bad])!r}"
             )
-        return np.array([m1, var])
+        return np.stack((m1, var), axis=-1)
 
     return MomentModel(
         name="normal",
@@ -293,8 +316,7 @@ def poisson_model() -> MomentModel:
         return np.asarray(x, dtype=float)[:, None]
 
     def mean(theta):
-        lam = float(np.asarray(theta, dtype=float)[0])
-        return np.array([lam])
+        return np.array(theta, dtype=float)
 
     def jacobian(theta):
         return np.array([[1.0]])
@@ -307,10 +329,13 @@ def poisson_model() -> MomentModel:
         return rng.poisson(lam=theta[0], size=size)
 
     def inverse_mean(m):
-        m1 = float(m[0])
-        if m1 <= 0.0:
-            raise OutOfDomain(f"mean {m1!r} has no poisson preimage")
-        return np.array([m1])
+        m = np.array(m, dtype=float)
+        bad = _first(m[..., 0] <= 0.0)
+        if bad is not None:
+            raise OutOfDomain(
+                f"mean {float(m[..., 0].flat[bad])!r} has no poisson preimage"
+            )
+        return m
 
     return MomentModel(
         name="poisson",
@@ -333,8 +358,7 @@ def bernoulli_model() -> MomentModel:
         return np.asarray(x, dtype=float)[:, None]
 
     def mean(theta):
-        p = float(np.asarray(theta, dtype=float)[0])
-        return np.array([p])
+        return np.array(theta, dtype=float)
 
     def jacobian(theta):
         return np.array([[1.0]])
@@ -347,10 +371,14 @@ def bernoulli_model() -> MomentModel:
         return rng.binomial(1, theta[0], size=size)
 
     def inverse_mean(m):
-        p = float(m[0])
-        if not 0.0 < p < 1.0:
-            raise OutOfDomain(f"mean {p!r} has no bernoulli preimage")
-        return np.array([p])
+        m = np.array(m, dtype=float)
+        p = m[..., 0]
+        bad = _first(~((p > 0.0) & (p < 1.0)))
+        if bad is not None:
+            raise OutOfDomain(
+                f"mean {float(p.flat[bad])!r} has no bernoulli preimage"
+            )
+        return m
 
     return MomentModel(
         name="bernoulli",
@@ -420,6 +448,17 @@ def asymptotic_covariance(model: MomentModel, theta) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
+def _matvec(mat: np.ndarray, v) -> np.ndarray:
+    """``mat @ v`` for each vector along the last axis of ``v``.
+
+    One matrix-vector product per vector, the kernel that ``mat @ v`` uses
+    for a single ``(dim,)`` vector, so that a vector's result does not
+    depend on how many others it is stacked with (``v @ mat.T`` picks a
+    matrix-matrix kernel that depends on the stack height).
+    """
+    return np.matmul(mat, np.asarray(v, dtype=float)[..., None])[..., 0]
+
+
 def affine_transform(model: MomentModel, a, b) -> MomentModel:
     """Model observing ``x`` through ``a @ psi(x) + b`` instead of ``psi(x)``.
 
@@ -446,7 +485,7 @@ def affine_transform(model: MomentModel, a, b) -> MomentModel:
         return base_psi(x) @ a.T + b
 
     def mean(theta):
-        return a @ base_mean(theta) + b
+        return _matvec(a, base_mean(theta)) + b
 
     def jacobian(theta):
         return a @ base_jac(theta)
@@ -459,7 +498,7 @@ def affine_transform(model: MomentModel, a, b) -> MomentModel:
             return None
 
         def wrapped(m):
-            return fn(a_inv @ (np.asarray(m, dtype=float) - b))
+            return fn(_matvec(a_inv, np.asarray(m, dtype=float) - b))
 
         return wrapped
 

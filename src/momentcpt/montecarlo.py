@@ -444,7 +444,7 @@ def sup_zn_gap(
         theta1 = theta0
     oracle = alternative_oracle(model, theta0, theta1, ustar)
     ks = np.arange(n + 1, dtype=float)
-    drift = oracle.drift(ks / n).T
+    drift = oracle.drift(ks / n)
     children = np.random.SeedSequence([seed, n]).spawn(reps)
     change = tuple(np.asarray(theta1, float)) != tuple(np.asarray(theta0, float))
     gaps = []
@@ -458,13 +458,9 @@ def sup_zn_gap(
             n,
             children[start : start + rows],
         )
-        sums, _, _, means, fits = _fit(block, model)
-        dist = np.linalg.norm(_subtract_drift(sums, ks, means) / n - drift, axis=1)
-        gaps += [
-            float(dist[i].max())
-            for i, fit in enumerate(fits)
-            if not isinstance(fit, EstimationError)
-        ]
+        fit = _fit(block, model)
+        dist = np.linalg.norm(_subtract_drift(fit.sums, ks, fit.means) / n - drift, axis=2)
+        gaps += [float(dist[i].max()) for i, e in enumerate(fit.errors) if e is None]
     if not gaps:
         raise EstimationError("all replications failed")
     return math.fsum(gaps) / len(gaps)

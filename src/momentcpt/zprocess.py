@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimationError, SingularCovariance
+from .errors import SingularCovariance
 from .estimator import _as_sample, _centred_cov, _fit, _moment_sums
 from .limits import _check_level, lookup_critical_value
 from .models import MomentModel, _ill_conditioned
@@ -80,13 +80,13 @@ class ZProcessState:
 def _subtract_drift(sums: np.ndarray, ks: np.ndarray, means: np.ndarray) -> np.ndarray:
     """In place: prefix sums ``S_k`` become ``n Z_n(k/n, theta) = S_k - k mean``.
 
-    ``sums`` is ``(m, dim, K)``, ``ks`` the ``K`` indices as floats and
+    ``sums`` is ``(m, K, dim)``, ``ks`` the ``K`` indices as floats and
     ``means`` the ``(m, dim)`` values of ``mean(theta)`` per row.
     """
-    tmp = np.empty((sums.shape[0], sums.shape[2]))
-    for j in range(sums.shape[1]):
+    tmp = np.empty(sums.shape[:2])
+    for j in range(sums.shape[2]):
         np.multiply(ks, means[:, j, None], out=tmp)
-        sums[:, j] -= tmp
+        sums[:, :, j] -= tmp
     return sums
 
 
@@ -97,24 +97,24 @@ def _plug_in(cov: np.ndarray, psi_bar: np.ndarray, means: np.ndarray) -> np.ndar
 
 
 def _path(sums: np.ndarray, means: np.ndarray, chol: np.ndarray) -> np.ndarray:
-    """Statistic paths ``t[k] = n Z_n' sigma^{-1} Z_n`` from ``(m, dim, n + 1)`` prefix sums.
+    """Statistic paths ``t[k] = n Z_n' sigma^{-1} Z_n`` from ``(m, n + 1, dim)`` prefix sums.
 
     Overwrites ``sums``: the drift is subtracted and each column whitened in
     place by forward substitution with ``chol * sqrt(n)``, so the path is
     the sum of squares of the whitened columns.
     """
-    m, d, size = sums.shape
+    m, size, d = sums.shape
     z = _subtract_drift(sums, np.arange(size, dtype=float), means)
     chol = chol * math.sqrt(size - 1)
     tmp = np.empty((m, size))
     for j in range(d):
         for i in range(j):
-            np.multiply(z[:, i], chol[:, j, i, None], out=tmp)
-            z[:, j] -= tmp
-        z[:, j] /= chol[:, j, j, None]
-    path = np.square(z[:, 0])
+            np.multiply(z[:, :, i], chol[:, j, i, None], out=tmp)
+            z[:, :, j] -= tmp
+        z[:, :, j] /= chol[:, j, j, None]
+    path = np.square(z[:, :, 0])
     for j in range(1, d):
-        np.square(z[:, j], out=tmp)
+        np.square(z[:, :, j], out=tmp)
         path += tmp
     return path
 
@@ -123,13 +123,12 @@ def _path(sums: np.ndarray, means: np.ndarray, chol: np.ndarray) -> np.ndarray:
 class _Rows:
     """The test on each row of a block; ``errors[i]`` is set for a failed row.
 
-    ``fits[i]`` is the row's :class:`~momentcpt.estimator.MMEResult`, or
-    its estimation error when the fit failed. ``t_stats[i]`` and
-    ``u_hats[i] = k_hat[i] / n`` are the row's statistic and change
-    fraction, NaN for a failed row.
+    ``theta[i]`` is the row's moment estimate, ``t_stats[i]`` and
+    ``u_hats[i] = k_hat[i] / n`` its statistic and change fraction; all
+    are NaN for a failed row.
     """
 
-    fits: list
+    theta: np.ndarray
     sigma: np.ndarray
     paths: np.ndarray
     k_hat: np.ndarray
@@ -141,33 +140,36 @@ class _Rows:
 def _statistic(block: np.ndarray, model: MomentModel) -> _Rows:
     """The change point test on every row of an ``(m, n)`` block of samples.
 
-    The caller validates the data. A row that fails keeps the
-    :class:`~momentcpt.errors.EstimationError` that :func:`run_test` raises
-    for that sample alone, in the same order of checks: degeneracy, the fit,
-    then the plug-in covariance.
+    The caller validates the data. A row that fails keeps the error that
+    :func:`run_test` raises for that sample alone, in the same order of
+    checks: finite moments (a ``ValueError``), then the
+    :class:`~momentcpt.errors.EstimationError` of degeneracy, the fit and
+    the plug-in covariance.
     """
     m, n = block.shape
-    sums, psi_bar, cov, means, fits = _fit(block, model)
-    errors = [f if isinstance(f, EstimationError) else None for f in fits]
-    sigma = _plug_in(cov, psi_bar, means)
+    fit = _fit(block, model)
+    errors = fit.errors
+    sigma = _plug_in(fit.cov, fit.psi_bar, fit.means)
     for i in np.flatnonzero(_ill_conditioned(sigma)):
         if errors[i] is None:
             errors[i] = SingularCovariance(_SINGULAR_SIGMA)
 
     ok = np.array([e is None for e in errors])
     whiten = np.where(ok[:, None, None], sigma, np.eye(model.dim))
-    paths = _path(sums, means, np.linalg.cholesky(whiten))
+    paths = _path(fit.sums, fit.means, np.linalg.cholesky(whiten))
     k_hat = np.argmax(paths, axis=1)
     t_stats = np.where(ok, paths[np.arange(m), k_hat], np.nan)
     u_hats = np.where(ok, k_hat / n, np.nan)
-    return _Rows(fits, sigma, paths, k_hat, t_stats, u_hats, errors)
+    return _Rows(fit.theta, sigma, paths, k_hat, t_stats, u_hats, errors)
 
 
 def build_state(data, model: MomentModel) -> ZProcessState:
     """Precompute prefix sums of ``psi`` so any Z_n(u, theta) is O(dim)."""
     data = _as_sample(data, 1)
-    _, sums, _ = _moment_sums(data[None], model)
-    return ZProcessState(n=data.shape[0], dim=model.dim, prefix=sums[0].T)
+    _, sums, _, errors = _moment_sums(data[None], model)
+    if errors[0] is not None:
+        raise errors[0]
+    return ZProcessState(n=data.shape[0], dim=model.dim, prefix=sums[0])
 
 
 def z_at(state: ZProcessState, u: float, theta, model: MomentModel) -> np.ndarray:
@@ -176,8 +178,8 @@ def z_at(state: ZProcessState, u: float, theta, model: MomentModel) -> np.ndarra
         raise ValueError(f"u must lie in [0, 1], got {u!r}")
     k = _floor_index(float(u), state.n)
     mean = np.asarray(model.mean(model.require(theta)), dtype=float)
-    sums = np.array(state.prefix[k], dtype=float)[None, :, None]
-    return _subtract_drift(sums, np.array([float(k)]), mean[None])[0, :, 0] / state.n
+    sums = np.array(state.prefix[k], dtype=float)[None, None, :]
+    return _subtract_drift(sums, np.array([float(k)]), mean[None])[0, 0] / state.n
 
 
 def sigma_hat(data, theta, model: MomentModel) -> np.ndarray:
@@ -194,11 +196,14 @@ def sigma_hat(data, theta, model: MomentModel) -> np.ndarray:
     SingularCovariance
         If the result has condition number above 1e12.
     ValueError
-        If the data are not a one-dimensional vector of finite values.
+        If the data are not a one-dimensional vector of finite values, or
+        their moments are not finite.
     """
     mean = np.asarray(model.mean(model.require(theta)), dtype=float)
     data = _as_sample(data, 1)
-    moments, _, psi_bar = _moment_sums(data[None], model)
+    moments, _, psi_bar, errors = _moment_sums(data[None], model)
+    if errors[0] is not None:
+        raise errors[0]
     sigma = _plug_in(_centred_cov(moments, psi_bar), psi_bar, mean[None])
     if _ill_conditioned(sigma)[0]:
         raise SingularCovariance(_SINGULAR_SIGMA)
@@ -233,7 +238,7 @@ def t_path(
         )
     if _ill_conditioned(sigma):
         raise SingularCovariance(_SINGULAR_SIGMA)
-    sums = np.array(state.prefix.T[None], dtype=float)
+    sums = np.array(state.prefix[None], dtype=float)
     return _path(sums, mean[None], np.linalg.cholesky(sigma)[None])[0]
 
 
@@ -274,7 +279,7 @@ def _report(
     t_stat = float(rows.t_stats[0])
     return TestReport(
         n=data.shape[0],
-        theta_hat=rows.fits[0].theta,
+        theta_hat=rows.theta[0],
         sigma_hat=rows.sigma[0],
         t_path=rows.paths[0],
         t_stat=t_stat,

@@ -9,6 +9,7 @@ compare the two.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from scipy import special
 from scipy.optimize import brentq
 
-from momentcpt import get_model, model_names
+from momentcpt import OutOfDomain, get_model, model_names, normal_model
 
 # Interior parameter points used for grid checks, per model.
 THETA_GRID = {
@@ -114,6 +115,32 @@ def finite_difference_jacobian(fn, theta, step=1e-5):
             2.0 * h
         )
     return jac
+
+
+def positive_mean_normal(how: str):
+    """Normal family restricted to mu > 0, so that some samples have no fit.
+
+    With ``how="raise"`` the closed-form inverse raises ``OutOfDomain`` for a
+    moment vector whose mean is not positive; with ``how="domain"`` it
+    returns the normal preimage, which then lies outside the domain.
+    """
+    base = normal_model()
+
+    def inverse_mean(m):
+        m = np.asarray(m, dtype=float)
+        bad = m[..., 0] <= 0.0
+        if how == "raise" and bad.any():
+            first = float(m[..., 0].flat[np.argmax(bad)])
+            raise OutOfDomain(f"mean {first!r} is not positive")
+        return base.inverse_mean(m)
+
+    return dataclasses.replace(
+        base,
+        name=f"normal+{how}",
+        param_domain=((0.0, math.inf), (0.0, math.inf)),
+        inverse_mean=inverse_mean,
+        init_guess=inverse_mean,
+    )
 
 
 def brute_force_path(data, model, theta, sigma):

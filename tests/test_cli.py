@@ -220,6 +220,12 @@ class TestDataParsing:
         assert main(["test", str(path), "--model", "gamma"]) == 1
         assert "no observations" in capsys.readouterr().err
 
+    def test_binary_file_is_named_as_not_text(self, tmp_path, capsys):
+        path = tmp_path / "random.bin"
+        path.write_bytes(np.random.default_rng(0).bytes(200))
+        assert main(["test", str(path), "--model", "gamma"]) == 1
+        assert capsys.readouterr().err == f"error: {path}: not UTF-8 text; expected one number per line\n"
+
     def test_missing_file_is_an_error(self, tmp_path, capsys):
         assert main(["test", str(tmp_path / "nope.txt"), "--model", "gamma"]) == 1
         capsys.readouterr()

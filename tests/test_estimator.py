@@ -22,7 +22,9 @@ from momentcpt import (
     newton_solve,
 )
 
-from conftest import SAFE_THETA
+from momentcpt.estimator import _fit
+
+from conftest import SAFE_THETA, positive_mean_normal
 
 # Sample whose first two raw moments are exactly (2, 6): the gamma fit must
 # return (alpha, lambda) = (2, 1).
@@ -196,3 +198,25 @@ def test_estimator_consistency_error_shrinks_with_n():
         err = np.hypot(m1 * m1 / var - 1.0, m1 / var - 1.0)
         medians.append(np.median(err))
     assert medians[0] > medians[1] > medians[2]
+
+
+@pytest.mark.parametrize("how", ["raise", "domain"])
+def test_block_fit_gives_each_failed_row_its_own_error(how):
+    # about a third of these samples have a non-positive mean and no fit
+    model = positive_mean_normal(how)
+    block = np.random.default_rng(4).normal(0.1, 1.0, size=(60, 30))
+    fit = _fit(block, model)
+    failed = 0
+    for row, theta, residual, error in zip(block, fit.theta, fit.residual, fit.errors):
+        try:
+            alone = mme(row, model)
+        except EstimationError as exc:
+            failed += 1
+            assert type(error) is type(exc)
+            assert str(error) == str(exc)
+            assert np.isnan(theta).all()
+        else:
+            assert error is None
+            assert np.array_equal(theta, alone.theta)
+            assert residual == alone.residual_norm
+    assert 0 < failed < len(block)

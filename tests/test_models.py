@@ -226,3 +226,56 @@ class TestAffineTransform:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             affine_transform(gamma_model(), np.eye(3), np.zeros(3))
+
+
+# Every model the estimator may see in blocks: the five families and an
+# affine view of one of them.
+_AFFINE_A = np.array([[2.0, 1.0], [0.5, 3.0]])
+_AFFINE_B = np.array([1.0, -2.0])
+BLOCK_MODELS = {
+    **{name: (get_model(name), name) for name in model_names()},
+    "gamma~affine": (affine_transform(gamma_model(), _AFFINE_A, _AFFINE_B), "gamma"),
+}
+# One moment vector without a preimage per base family.
+IMPOSSIBLE_MOMENTS = {
+    "gamma": (-1.0, 2.0),
+    "exponential": (-0.5,),
+    "normal": (1.0, 0.5),
+    "poisson": (0.0,),
+    "bernoulli": (1.2,),
+}
+
+
+def _block_of_moments(name, rows=200):
+    model, base = BLOCK_MODELS[name]
+    rng = np.random.default_rng(8)
+    theta = np.asarray(SAFE_THETA[base]) * rng.uniform(0.5, 1.5, (rows, model.dim))
+    # off the mean curve as well, so inverse_mean does more than undo mean
+    moments = model.mean(theta) * rng.uniform(1.0 - 1e-3, 1.0 + 1e-3, (rows, model.dim))
+    return model, theta, moments
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_MODELS))
+def test_mean_and_inverse_mean_on_a_block_equal_row_by_row_calls(name):
+    model, theta, moments = _block_of_moments(name)
+    means = model.mean(theta)
+    assert means.shape == theta.shape
+    assert np.array_equal(means, np.array([model.mean(t) for t in theta]))
+    fits = model.inverse_mean(moments)
+    assert fits.shape == moments.shape
+    assert np.array_equal(fits, np.array([model.inverse_mean(v) for v in moments]))
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_MODELS))
+def test_a_block_with_one_impossible_row_raises_that_rows_message(name):
+    model, _, moments = _block_of_moments(name, rows=50)
+    _, base = BLOCK_MODELS[name]
+    impossible = np.asarray(IMPOSSIBLE_MOMENTS[base], dtype=float)
+    if name.endswith("~affine"):
+        impossible = _AFFINE_A @ impossible + _AFFINE_B
+    moments[37] = impossible
+    with pytest.raises(OutOfDomain) as alone:
+        model.inverse_mean(moments[37])
+    with pytest.raises(OutOfDomain) as block:
+        model.inverse_mean(moments)
+    assert str(block.value) == str(alone.value)

@@ -18,6 +18,7 @@ from momentcpt import (
     EstimationError,
     ExperimentConfig,
     SingularCovariance,
+    affine_transform,
     alternative_oracle,
     bernoulli_model,
     build_state,
@@ -28,6 +29,7 @@ from momentcpt import (
     load_config,
     lookup_critical_value,
     mme,
+    normal_model,
     run_experiment,
     run_test,
     sup_zn_convergence_check,
@@ -36,6 +38,8 @@ from momentcpt import (
 from momentcpt import models, montecarlo
 from momentcpt.montecarlo import _location_stats, validate_config
 from momentcpt.zprocess import _floor_index
+
+from conftest import positive_mean_normal
 
 
 def make_config(**overrides):
@@ -287,6 +291,19 @@ def _replay(config):
     return np.array(u_hats), np.array(t_stats), np.array(rejects), dict(failures)
 
 
+def _affine_normal():
+    return affine_transform(normal_model(), [[2.0, 1.0], [0.5, 3.0]], [1.0, -2.0])
+
+
+# models the replay tests register next to the shipped five
+TEST_MODELS = {
+    "gamma_newton": _newton_gamma,
+    "normal~affine": _affine_normal,
+    "normal+raise": lambda: positive_mean_normal("raise"),
+    "normal+domain": lambda: positive_mean_normal("domain"),
+}
+
+
 # m = 300 spans two worker tasks of 250 replications
 BLOCK_CONFIGS = {
     "gamma": dict(model="gamma", theta0=(1.0, 0.01), theta1=(1.0, 0.05), ustar=0.75, n=200, m=300),
@@ -296,12 +313,17 @@ BLOCK_CONFIGS = {
     "bernoulli": dict(model="bernoulli", theta0=(0.4,), n=30, m=300),
     "gamma_newton": dict(model="gamma_newton", theta0=(2.0, 1.0), theta1=(2.0, 0.5), ustar=0.5, n=80, m=300),
     "bernoulli_n8": dict(model="bernoulli", theta0=(0.2,), n=8, m=60, seed=5),
+    "normal~affine": dict(model="normal~affine", theta0=(1.0, 2.0), theta1=(1.0, 4.0), ustar=0.5, n=50, m=300),
+    # some rows have a non-positive mean and no fit
+    "normal+raise": dict(model="normal+raise", theta0=(0.1, 1.0), n=30, m=300),
+    "normal+domain": dict(model="normal+domain", theta0=(0.1, 1.0), n=30, m=300),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BLOCK_CONFIGS))
 def test_block_engine_matches_a_run_test_replay(name, monkeypatch):
-    monkeypatch.setitem(models._REGISTRY, "gamma_newton", _newton_gamma)
+    for model_name, factory in TEST_MODELS.items():
+        monkeypatch.setitem(models._REGISTRY, model_name, factory)
     config = ExperimentConfig(**{"seed": 11, **BLOCK_CONFIGS[name]})
     result = run_experiment(config)
     u_hats, t_stats, rejects, failures = _replay(config)
@@ -309,8 +331,33 @@ def test_block_engine_matches_a_run_test_replay(name, monkeypatch):
     assert np.array_equal(result.t_stats, t_stats, equal_nan=True)
     np.testing.assert_array_equal(result.rejects, rejects)
     assert result.failure_counts == failures
-    if name in ("poisson", "bernoulli_n8"):
+    if name in ("poisson", "bernoulli_n8", "normal+raise", "normal+domain"):
         assert failures  # the failing rows are exercised
+
+
+def test_closed_form_fits_take_one_call_per_block(monkeypatch):
+    calls = Counter()
+
+    def counting_gamma():
+        base = gamma_model()
+
+        def inverse_mean(m):
+            calls["inverse_mean"] += 1
+            return base.inverse_mean(m)
+
+        def mean(theta):
+            calls["mean"] += 1
+            return base.mean(theta)
+
+        return replace(base, name="gamma_counting", mean=mean, inverse_mean=inverse_mean)
+
+    monkeypatch.setitem(models._REGISTRY, "gamma_counting", counting_gamma)
+    config = ExperimentConfig(
+        model="gamma_counting", theta0=(1.0, 0.01), theta1=(1.0, 0.05), ustar=0.75, n=200, m=300
+    )
+    run_experiment(config)
+    # blocks of 250 and 50 replications
+    assert calls == {"inverse_mean": 2, "mean": 2}
 
 
 def test_long_samples_are_tested_in_several_blocks(monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -371,3 +372,29 @@ def test_constant_data_is_degenerate(name, value, n):
         detect(constant, model)
     with pytest.raises(DegenerateSample):
         mme(constant, model)
+
+
+@pytest.mark.parametrize("name", ["gamma", "normal"])
+def test_moments_that_overflow_are_named(name):
+    model = get_model(name)
+    data = model.sample(SAFE_THETA[name], np.random.default_rng(5), 100)
+    data[50] = 1e200  # finite, but its square is not
+    calls = [
+        lambda: run_test(data, model, critical_value=1.0),
+        lambda: detect(data, model),
+        lambda: mme(data, model),
+        lambda: build_state(data, model),
+        lambda: sigma_hat(data, SAFE_THETA[name], model),
+    ]
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"psi\(data\[50\]\) is not finite"):
+                call()
+
+
+def test_a_sum_of_moments_that_overflows_is_named():
+    data = np.full(10, 1e154)  # x**2 = 1e308 is finite, two of them are not
+    data[::2] = 0.5e154
+    with pytest.raises(ValueError, match=r"sum of psi\(data\[:4\]\) overflows"):
+        detect(data, gamma_model())
