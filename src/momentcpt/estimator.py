@@ -27,6 +27,11 @@ __all__ = ["MMEResult", "mme", "newton_solve"]
 # iterates; infinite edges are replaced by a large box.
 _EDGE_PAD = 1e-8
 _BOX_LIMIT = 1e8
+# Newton stops once the residual norm is at most _NEWTON_TOL * (1 + |target|);
+# it takes at most _MAX_ITER steps, each halved at most _MAX_HALVINGS times.
+_NEWTON_TOL = 1e-10
+_MAX_ITER = 100
+_MAX_HALVINGS = 40
 
 
 @dataclass(frozen=True)
@@ -60,20 +65,15 @@ def _newton_box(model: MomentModel) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def newton_solve(
-    target,
-    model: MomentModel,
-    theta_init,
-    tol: float = 1e-10,
-    max_iter: int = 100,
-    max_halvings: int = 40,
-) -> MMEResult:
+def newton_solve(target, model: MomentModel, theta_init) -> MMEResult:
     """Solve ``model.mean(theta) = target`` by damped Newton iteration.
 
     Steps are halved until the residual norm decreases and the iterate stays
-    strictly inside the parameter domain (finite edges padded by 1e-8). An
-    initial point that already meets tolerance is returned unchanged with
-    ``iterations == 0``.
+    strictly inside the parameter domain (finite edges padded by 1e-8). The
+    iteration stops once the residual norm is at most
+    ``1e-10 * (1 + |target|)``; it takes at most 100 steps, each halved at
+    most 40 times. An initial point that already meets tolerance is
+    returned unchanged with ``iterations == 0``.
 
     Raises
     ------
@@ -91,8 +91,8 @@ def newton_solve(
 
     residual = np.asarray(model.mean(theta), dtype=float) - target
     res_norm = float(np.linalg.norm(residual))
-    for iteration in range(max_iter):
-        if res_norm <= tol * scale:
+    for iteration in range(_MAX_ITER):
+        if res_norm <= _NEWTON_TOL * scale:
             return MMEResult(theta, res_norm, iteration, "newton")
         jac = np.asarray(model.jacobian(theta), dtype=float)
         if _near_singular(jac):
@@ -102,7 +102,7 @@ def newton_solve(
         step = np.linalg.solve(jac, residual)
         accepted = False
         damping = 1.0
-        for _ in range(max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             candidate = theta - damping * step
             if np.all(candidate >= lo) and np.all(candidate <= hi):
                 cand_res = np.asarray(model.mean(candidate), dtype=float) - target
@@ -117,10 +117,10 @@ def newton_solve(
                 f"newton stalled for model {model.name!r} at {theta!r} "
                 f"(residual {res_norm:.3e})"
             )
-    if res_norm <= tol * scale:
-        return MMEResult(theta, res_norm, max_iter, "newton")
+    if res_norm <= _NEWTON_TOL * scale:
+        return MMEResult(theta, res_norm, _MAX_ITER, "newton")
     raise NoConvergence(
-        f"newton did not reach tolerance in {max_iter} iterations "
+        f"newton did not reach tolerance in {_MAX_ITER} iterations "
         f"(residual {res_norm:.3e})"
     )
 
@@ -236,39 +236,66 @@ _DEGENERATE = (
 )
 
 
-def _solve(psi_bar: np.ndarray, model: MomentModel, theta_init=None):
-    """Solve ``mean(theta) = psi_bar``; return the fit and ``mean(theta)``.
+def _solve(psi_bar: np.ndarray, model: MomentModel, errors: list, theta_init=None):
+    """Solve ``mean(theta) = psi_bar`` for each row of an ``(m, dim)`` array.
 
-    Uses the closed-form ``inverse_mean`` when the model has one and damped
-    Newton otherwise, then enforces the residual bound that :func:`mme`
-    documents.
+    Rows whose entry of ``errors`` is set are skipped. A closed-form model
+    takes one ``inverse_mean`` call on the other rows, a Newton-only model
+    one :func:`newton_solve` per row from ``theta_init`` or ``init_guess``.
+    Then one domain check, one ``mean`` call and the residual bound that
+    :func:`mme` documents cover every row. A row that fails gets its error
+    in ``errors``, NaN ``theta`` and residual, 0 iterations and
+    ``means = psi_bar``. Returns ``theta``, ``means``, ``residual`` and
+    ``iterations``.
     """
-    if model.inverse_mean is not None:
-        theta = model.require(
-            np.asarray(model.inverse_mean(psi_bar), dtype=float)
-        )
-        mean = np.asarray(model.mean(theta), dtype=float)
-        result = MMEResult(
-            theta, float(np.linalg.norm(mean - psi_bar)), 0, "closed_form"
-        )
-    else:
-        if theta_init is None:
-            if model.init_guess is None:
+    theta = np.full(psi_bar.shape, np.nan)
+    iterations = np.zeros(len(psi_bar), dtype=int)
+    rows = np.flatnonzero([e is None for e in errors])
+    # a moment vector on the edge of the domain (m2 == m1^2, or m == 0)
+    # maps to inf or NaN under inverse_mean or init_guess; the domain check
+    # below, or newton_solve, rejects it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if model.inverse_mean is None:
+            if rows.size and theta_init is None and model.init_guess is None:
                 raise ValueError(
                     f"model {model.name!r} has no inverse_mean or init_guess; "
                     "pass theta_init"
                 )
-            theta_init = model.init_guess(psi_bar)
-        result = newton_solve(psi_bar, model, theta_init)
-        mean = np.asarray(model.mean(result.theta), dtype=float)
+            for i in rows:
+                start = model.init_guess(psi_bar[i]) if theta_init is None else theta_init
+                try:
+                    fit = newton_solve(psi_bar[i], model, start)
+                except EstimationError as exc:
+                    errors[i] = exc
+                    continue
+                theta[i], iterations[i] = fit.theta, fit.iterations
+        elif rows.size:
+            theta[rows] = model.inverse_mean(psi_bar[rows])
 
-    bound = 1e-8 * (1.0 + float(np.linalg.norm(psi_bar)))
-    if result.residual_norm > bound:
-        raise NoConvergence(
-            f"estimating equation residual {result.residual_norm:.3e} "
-            f"exceeds {bound:.3e}"
+    lo, hi = np.array(model.param_domain, dtype=float).T
+    inside = ((theta > lo) & (theta < hi)).all(axis=1)  # NaN fails
+    for i in rows[~inside[rows]]:
+        if errors[i] is None:  # not a Newton failure
+            errors[i] = OutOfDomain(
+                f"moment vector {psi_bar[i].tolist()} has no preimage in the "
+                f"domain of model {model.name!r}"
+            )
+    ok = rows[inside[rows]]
+    means = psi_bar.copy()
+    means[ok] = model.mean(theta[ok])
+    residual = np.full(len(psi_bar), np.nan)
+    residual[ok] = _norms(means[ok] - psi_bar[ok])
+    bound = 1e-8 * (1.0 + _norms(psi_bar[ok]))
+    for j in np.flatnonzero(~(residual[ok] <= bound)):  # NaN fails
+        errors[ok[j]] = NoConvergence(
+            f"estimating equation residual {residual[ok[j]]:.3e} "
+            f"exceeds {bound[j]:.3e}"
         )
-    return result, mean
+    failed = np.array([e is not None for e in errors])
+    theta[failed] = residual[failed] = np.nan
+    iterations[failed] = 0
+    means[failed] = psi_bar[failed]
+    return theta, means, residual, iterations
 
 
 @dataclass(frozen=True)
@@ -297,50 +324,27 @@ def _fit(block: np.ndarray, model: MomentModel, theta_init=None) -> _BlockFit:
     """The moment estimate for every row of an ``(m, n)`` block of samples.
 
     Makes one ``psi`` call and one prefix-sum pass over the block, checks
-    each row's centred covariance for degeneracy, then solves the rows. A
-    closed-form model is solved with one ``inverse_mean`` and one ``mean``
-    call on all rows, with the domain and the residual bound checked per
-    row; the rows that fail those checks (all rows, if ``inverse_mean``
-    raises) and every row of a Newton-only model go through :func:`_solve`
-    one at a time, which gives a failed row its own error.
+    each row's centred covariance for overflow and degeneracy, then solves
+    the rows that passed with :func:`_solve`, which gives a failed row its
+    own error. A row whose covariance overflows gets a ``ValueError``
+    naming its largest observation, and its sums are zeroed like those of
+    a row whose moments are not finite.
     """
     moments, sums, psi_bar, errors = _moment_sums(block, model)
-    cov = _centred_cov(moments, psi_bar)
+    # an overflow is reported per row below, by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = _centred_cov(moments, psi_bar)
     del moments  # free the (m, n, dim) buffer before the fits
+    for i in np.flatnonzero(~np.isfinite(cov).all(axis=(1, 2))):
+        k = int(np.argmax(np.abs(block[i])))
+        errors[i] = ValueError(
+            f"the covariance of psi(data) overflows (data[{k}] = {float(block[i, k])!r})"
+        )
+        sums[i] = psi_bar[i] = cov[i] = 0.0
     for i in np.flatnonzero(_ill_conditioned(cov)):
         if errors[i] is None:
             errors[i] = DegenerateSample(_DEGENERATE)
-    m, dim = psi_bar.shape
-    theta = np.full((m, dim), np.nan)
-    means = psi_bar.copy()
-    residual = np.full(m, np.nan)
-    iterations = np.zeros(m, dtype=int)
-    todo = np.array([e is None for e in errors], dtype=bool)
-
-    rows = np.flatnonzero(todo)
-    if model.inverse_mean is not None and rows.size:
-        try:
-            guess = np.asarray(model.inverse_mean(psi_bar[rows]), dtype=float)
-        except OutOfDomain:
-            pass  # _solve finds the rows without a preimage
-        else:
-            lo, hi = np.array(model.param_domain, dtype=float).T
-            inside = ((guess > lo) & (guess < hi)).all(axis=1)  # NaN fails
-            rows, guess = rows[inside], guess[inside]
-            mean = np.asarray(model.mean(guess), dtype=float)
-            res = _norms(mean - psi_bar[rows])
-            fits = ~(res > 1e-8 * (1.0 + _norms(psi_bar[rows])))
-            rows = rows[fits]
-            theta[rows], means[rows], residual[rows] = guess[fits], mean[fits], res[fits]
-            todo[rows] = False
-
-    for i in np.flatnonzero(todo):
-        try:
-            fit, means[i] = _solve(psi_bar[i], model, theta_init)
-        except EstimationError as exc:
-            errors[i] = exc
-            continue
-        theta[i], residual[i], iterations[i] = fit.theta, fit.residual_norm, fit.iterations
+    theta, means, residual, iterations = _solve(psi_bar, model, errors, theta_init)
     return _BlockFit(sums, psi_bar, cov, theta, means, residual, iterations, errors)
 
 
@@ -366,14 +370,15 @@ def mme(data, model: MomentModel, theta_init=None) -> MMEResult:
         If the sample covariance of ``psi(X)`` is singular (condition number
         above 1e12), e.g. for constant data.
     OutOfDomain
-        If the implied estimate leaves the parameter domain.
+        If the moment average has no preimage inside the parameter domain;
+        the message names the moment vector and the model.
     NoConvergence, SingularJacobian
         Propagated from the Newton path.
     ValueError
         If the sample is not one-dimensional, shorter than ``dim + 1`` or
         holds a non-finite value, if the moments of an observation (or
-        their sum) are not finite, or if no starting point is available for
-        a model without ``inverse_mean``.
+        their sum, or their covariance) are not finite, or if no starting
+        point is available for a model without ``inverse_mean``.
     """
     data = _as_sample(data, model.dim + 1)
     fit = _fit(data[None], model, theta_init)

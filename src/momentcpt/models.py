@@ -50,12 +50,6 @@ def _ill_conditioned(mats) -> np.ndarray:
     return (eigs[..., -1] <= 0.0) | (eigs[..., 0] <= _COND_EPS * eigs[..., -1])
 
 
-def _first(mask) -> int | None:
-    """Flat index of the first True entry of a boolean array, or None."""
-    mask = np.asarray(mask)
-    return int(np.argmax(mask)) if mask.any() else None
-
-
 def _near_singular(mat) -> bool:
     """Whether a square matrix is singular to within a condition number of 1e12.
 
@@ -64,6 +58,32 @@ def _near_singular(mat) -> bool:
     """
     svals = np.linalg.svd(mat, compute_uv=False)
     return bool(svals[0] <= 0.0 or svals[-1] <= _COND_EPS * svals[0])
+
+
+def _psi_x(x):
+    """psi(x) = (x,)."""
+    return np.asarray(x, dtype=float)[:, None]
+
+
+def _psi_x_x2(x):
+    """psi(x) = (x, x^2)."""
+    x = np.asarray(x, dtype=float)
+    return np.column_stack((x, x * x))
+
+
+def _identity(v):
+    """A copy of ``v``: the mean curve of poisson and bernoulli, and its inverse."""
+    return np.array(v, dtype=float)
+
+
+def _unit_jacobian(theta):
+    """The Jacobian of the identity mean curve."""
+    return np.array([[1.0]])
+
+
+def _reciprocal(v):
+    """``1 / v``: the exponential mean curve, and its inverse."""
+    return 1.0 / np.asarray(v, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -96,11 +116,13 @@ class MomentModel:
         ``(theta, rng, size) -> (size,)`` array of draws from the family.
     inverse_mean : callable, optional
         Closed-form inverse of ``mean``, broadcasting over leading axes in the
-        same way. Raises :class:`~momentcpt.errors.OutOfDomain` when a moment
-        vector has no preimage inside ``param_domain``, with the message
-        that the first such vector alone gives. A preimage outside
-        ``param_domain`` (NaN included) may be returned instead; the
-        estimator checks the domain.
+        same way. For a moment vector with no preimage inside
+        ``param_domain`` it returns a point outside ``param_domain`` (NaN
+        and +-inf included) and never raises: the estimator checks the
+        domain and reports such a vector as
+        :class:`~momentcpt.errors.OutOfDomain`, naming the vector and the
+        model. An exception that it does raise is not a failed fit; it
+        propagates, so ``run_test`` raises it and ``run_experiment`` stops.
     init_guess : callable, optional
         Maps a moment vector to a starting point for the Newton solver when
         no closed-form inverse is available (or it has been removed).
@@ -150,10 +172,6 @@ def gamma_model() -> MomentModel:
     and lam = m1/(m2 - m1^2).
     """
 
-    def psi(x):
-        x = np.asarray(x, dtype=float)
-        return np.column_stack((x, x * x))
-
     def mean(theta):
         theta = np.asarray(theta, dtype=float)
         a, lam = theta[..., 0], theta[..., 1]
@@ -185,19 +203,13 @@ def gamma_model() -> MomentModel:
         m = np.asarray(m, dtype=float)
         m1, m2 = m[..., 0], m[..., 1]
         var = m2 - m1 * m1
-        bad = _first((m1 <= 0.0) | (var <= 0.0))
-        if bad is not None:
-            raise OutOfDomain(
-                "moment vector has no gamma preimage "
-                f"(m1={float(m1.flat[bad])!r}, m2-m1^2={float(var.flat[bad])!r})"
-            )
         return np.stack((m1 * m1 / var, m1 / var), axis=-1)
 
     return MomentModel(
         name="gamma",
         dim=2,
         param_domain=((0.0, math.inf), (0.0, math.inf)),
-        psi=psi,
+        psi=_psi_x_x2,
         mean=mean,
         jacobian=jacobian,
         cov=cov,
@@ -213,12 +225,6 @@ def exponential_model() -> MomentModel:
     Uses psi(x) = (x,); the mean curve is 1/lam.
     """
 
-    def psi(x):
-        return np.asarray(x, dtype=float)[:, None]
-
-    def mean(theta):
-        return 1.0 / np.asarray(theta, dtype=float)
-
     def jacobian(theta):
         lam = float(np.asarray(theta, dtype=float)[0])
         return np.array([[-1.0 / lam**2]])
@@ -230,26 +236,17 @@ def exponential_model() -> MomentModel:
     def sampler(theta, rng, size):
         return rng.exponential(scale=1.0 / theta[0], size=size)
 
-    def inverse_mean(m):
-        m = np.asarray(m, dtype=float)
-        bad = _first(m[..., 0] <= 0.0)
-        if bad is not None:
-            raise OutOfDomain(
-                f"mean {float(m[..., 0].flat[bad])!r} has no exponential preimage"
-            )
-        return 1.0 / m
-
     return MomentModel(
         name="exponential",
         dim=1,
         param_domain=((0.0, math.inf),),
-        psi=psi,
-        mean=mean,
+        psi=_psi_x,
+        mean=_reciprocal,
         jacobian=jacobian,
         cov=cov,
         sampler=sampler,
-        inverse_mean=inverse_mean,
-        init_guess=inverse_mean,
+        inverse_mean=_reciprocal,
+        init_guess=_reciprocal,
     )
 
 
@@ -258,10 +255,6 @@ def normal_model() -> MomentModel:
 
     Uses psi(x) = (x, x^2), so mean(theta) = (mu, var + mu^2).
     """
-
-    def psi(x):
-        x = np.asarray(x, dtype=float)
-        return np.column_stack((x, x * x))
 
     def mean(theta):
         theta = np.asarray(theta, dtype=float)
@@ -287,19 +280,13 @@ def normal_model() -> MomentModel:
         m = np.asarray(m, dtype=float)
         m1, m2 = m[..., 0], m[..., 1]
         var = m2 - m1 * m1
-        bad = _first(var <= 0.0)
-        if bad is not None:
-            raise OutOfDomain(
-                "moment vector implies non-positive variance "
-                f"{float(var.flat[bad])!r}"
-            )
         return np.stack((m1, var), axis=-1)
 
     return MomentModel(
         name="normal",
         dim=2,
         param_domain=((-math.inf, math.inf), (0.0, math.inf)),
-        psi=psi,
+        psi=_psi_x_x2,
         mean=mean,
         jacobian=jacobian,
         cov=cov,
@@ -312,15 +299,6 @@ def normal_model() -> MomentModel:
 def poisson_model() -> MomentModel:
     """Poisson family, theta = (lam,), psi(x) = (x,)."""
 
-    def psi(x):
-        return np.asarray(x, dtype=float)[:, None]
-
-    def mean(theta):
-        return np.array(theta, dtype=float)
-
-    def jacobian(theta):
-        return np.array([[1.0]])
-
     def cov(theta):
         lam = float(np.asarray(theta, dtype=float)[0])
         return np.array([[lam]])
@@ -328,40 +306,22 @@ def poisson_model() -> MomentModel:
     def sampler(theta, rng, size):
         return rng.poisson(lam=theta[0], size=size)
 
-    def inverse_mean(m):
-        m = np.array(m, dtype=float)
-        bad = _first(m[..., 0] <= 0.0)
-        if bad is not None:
-            raise OutOfDomain(
-                f"mean {float(m[..., 0].flat[bad])!r} has no poisson preimage"
-            )
-        return m
-
     return MomentModel(
         name="poisson",
         dim=1,
         param_domain=((0.0, math.inf),),
-        psi=psi,
-        mean=mean,
-        jacobian=jacobian,
+        psi=_psi_x,
+        mean=_identity,
+        jacobian=_unit_jacobian,
         cov=cov,
         sampler=sampler,
-        inverse_mean=inverse_mean,
-        init_guess=inverse_mean,
+        inverse_mean=_identity,
+        init_guess=_identity,
     )
 
 
 def bernoulli_model() -> MomentModel:
     """Bernoulli family, theta = (p,) with 0 < p < 1, psi(x) = (x,)."""
-
-    def psi(x):
-        return np.asarray(x, dtype=float)[:, None]
-
-    def mean(theta):
-        return np.array(theta, dtype=float)
-
-    def jacobian(theta):
-        return np.array([[1.0]])
 
     def cov(theta):
         p = float(np.asarray(theta, dtype=float)[0])
@@ -370,27 +330,17 @@ def bernoulli_model() -> MomentModel:
     def sampler(theta, rng, size):
         return rng.binomial(1, theta[0], size=size)
 
-    def inverse_mean(m):
-        m = np.array(m, dtype=float)
-        p = m[..., 0]
-        bad = _first(~((p > 0.0) & (p < 1.0)))
-        if bad is not None:
-            raise OutOfDomain(
-                f"mean {float(p.flat[bad])!r} has no bernoulli preimage"
-            )
-        return m
-
     return MomentModel(
         name="bernoulli",
         dim=1,
         param_domain=((0.0, 1.0),),
-        psi=psi,
-        mean=mean,
-        jacobian=jacobian,
+        psi=_psi_x,
+        mean=_identity,
+        jacobian=_unit_jacobian,
         cov=cov,
         sampler=sampler,
-        inverse_mean=inverse_mean,
-        init_guess=inverse_mean,
+        inverse_mean=_identity,
+        init_guess=_identity,
     )
 
 

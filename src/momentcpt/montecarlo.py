@@ -339,9 +339,12 @@ def alternative_oracle(
     mean0 = np.asarray(model.mean(theta0), dtype=float)
     mean1 = np.asarray(model.mean(theta1), dtype=float)
     mixed = ustar * mean0 + (1.0 - ustar) * mean1
+    errors = [None]
     theta_star = _solve(
-        mixed, model, theta0 if model.init_guess is None else None
-    )[0].theta
+        mixed[None], model, errors, theta0 if model.init_guess is None else None
+    )[0][0]
+    if errors[0] is not None:
+        raise errors[0]
 
     sigma_star = ustar * np.asarray(model.cov(theta0), dtype=float) + (
         1.0 - ustar

@@ -17,7 +17,7 @@ import pytest
 from scipy import special
 from scipy.optimize import brentq
 
-from momentcpt import OutOfDomain, get_model, model_names, normal_model
+from momentcpt import get_model, model_names, normal_model
 
 # Interior parameter points used for grid checks, per model.
 THETA_GRID = {
@@ -117,29 +117,16 @@ def finite_difference_jacobian(fn, theta, step=1e-5):
     return jac
 
 
-def positive_mean_normal(how: str):
+def positive_mean_normal():
     """Normal family restricted to mu > 0, so that some samples have no fit.
 
-    With ``how="raise"`` the closed-form inverse raises ``OutOfDomain`` for a
-    moment vector whose mean is not positive; with ``how="domain"`` it
-    returns the normal preimage, which then lies outside the domain.
+    For a moment vector whose mean is not positive, the normal
+    ``inverse_mean`` returns a preimage outside this domain.
     """
-    base = normal_model()
-
-    def inverse_mean(m):
-        m = np.asarray(m, dtype=float)
-        bad = m[..., 0] <= 0.0
-        if how == "raise" and bad.any():
-            first = float(m[..., 0].flat[np.argmax(bad)])
-            raise OutOfDomain(f"mean {first!r} is not positive")
-        return base.inverse_mean(m)
-
     return dataclasses.replace(
-        base,
-        name=f"normal+{how}",
+        normal_model(),
+        name="normal+domain",
         param_domain=((0.0, math.inf), (0.0, math.inf)),
-        inverse_mean=inverse_mean,
-        init_guess=inverse_mean,
     )
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from momentcpt import (
     EstimationError,
     MomentModel,
     NoConvergence,
+    OutOfDomain,
     SingularJacobian,
     gamma_model,
     get_model,
@@ -22,7 +24,7 @@ from momentcpt import (
     newton_solve,
 )
 
-from momentcpt.estimator import _fit
+from momentcpt.estimator import _fit, _solve
 
 from conftest import SAFE_THETA, positive_mean_normal
 
@@ -56,9 +58,33 @@ def test_mme_needs_dim_plus_one_observations():
 
 
 def test_mme_out_of_domain_moments():
-    # Negative sample mean has no gamma preimage.
-    with pytest.raises(EstimationError):
-        mme(np.array([-1.0, -2.0, -4.0, -1.5]), gamma_model())
+    # moment averages with no preimage; the error names them and the model
+    cases = [
+        ("gamma", [-1.0, -2.0, -4.0, -1.5], "[-2.125, 5.8125]"),
+        ("exponential", [-1.0, -2.0, 0.5], "[-0.8333333333333334]"),
+        ("bernoulli", [1.0, 2.0, 1.0, 3.0], "[1.75]"),
+    ]
+    for name, data, moments in cases:
+        with pytest.raises(OutOfDomain) as info:
+            mme(np.array(data), get_model(name))
+        assert moments in str(info.value) and repr(name) in str(info.value)
+
+
+def test_solve_fails_moments_on_the_domain_edge_without_a_warning():
+    # m2 == m1^2 and m == 0 map to inf or NaN; the row fails, quietly
+    cases = [
+        (gamma_model(), [[1.0, 1.0], [2.0, 6.0]], [2.0, 1.0]),
+        (get_model("exponential"), [[0.0], [0.5]], [2.0]),
+    ]
+    for model, psi_bar, fit in cases:
+        errors = [None, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            theta, means, residual, iterations = _solve(np.array(psi_bar), model, errors)
+        assert type(errors[0]) is OutOfDomain and errors[1] is None
+        assert np.isnan(theta[0]).all() and np.isnan(residual[0])
+        assert np.array_equal(means[0], psi_bar[0]) and iterations[0] == 0
+        np.testing.assert_allclose(theta[1], fit, rtol=1e-12)
 
 
 @pytest.mark.parametrize("name", sorted(SAFE_THETA))
@@ -130,8 +156,6 @@ def test_newton_agrees_with_closed_form(theta_true):
 
 
 def test_newton_rejects_out_of_domain_start():
-    from momentcpt import OutOfDomain
-
     with pytest.raises(OutOfDomain):
         newton_solve(np.array([2.0, 6.0]), gamma_model(), (-1.0, 1.0))
 
@@ -200,10 +224,28 @@ def test_estimator_consistency_error_shrinks_with_n():
     assert medians[0] > medians[1] > medians[2]
 
 
-@pytest.mark.parametrize("how", ["raise", "domain"])
+def test_an_exception_from_inverse_mean_propagates():
+    # a raise is not a failed fit, whatever its type: the caller sees it
+    def inverse_mean(m):
+        raise OutOfDomain("refused")
+
+    model = dataclasses.replace(gamma_model(), inverse_mean=inverse_mean)
+    block = np.random.default_rng(1).gamma(2.0, 1.0, size=(5, 50))
+    with pytest.raises(OutOfDomain, match="refused"):
+        _fit(block, model)
+
+
+# the normal restricted to mu > 0, solved in closed form and by Newton
+FAILING_MODELS = {
+    "domain": positive_mean_normal,
+    "newton": lambda: dataclasses.replace(positive_mean_normal(), inverse_mean=None),
+}
+
+
+@pytest.mark.parametrize("how", sorted(FAILING_MODELS))
 def test_block_fit_gives_each_failed_row_its_own_error(how):
     # about a third of these samples have a non-positive mean and no fit
-    model = positive_mean_normal(how)
+    model = FAILING_MODELS[how]()
     block = np.random.default_rng(4).normal(0.1, 1.0, size=(60, 30))
     fit = _fit(block, model)
     failed = 0

@@ -299,8 +299,7 @@ def _affine_normal():
 TEST_MODELS = {
     "gamma_newton": _newton_gamma,
     "normal~affine": _affine_normal,
-    "normal+raise": lambda: positive_mean_normal("raise"),
-    "normal+domain": lambda: positive_mean_normal("domain"),
+    "normal+domain": positive_mean_normal,
 }
 
 
@@ -315,7 +314,6 @@ BLOCK_CONFIGS = {
     "bernoulli_n8": dict(model="bernoulli", theta0=(0.2,), n=8, m=60, seed=5),
     "normal~affine": dict(model="normal~affine", theta0=(1.0, 2.0), theta1=(1.0, 4.0), ustar=0.5, n=50, m=300),
     # some rows have a non-positive mean and no fit
-    "normal+raise": dict(model="normal+raise", theta0=(0.1, 1.0), n=30, m=300),
     "normal+domain": dict(model="normal+domain", theta0=(0.1, 1.0), n=30, m=300),
 }
 
@@ -331,7 +329,7 @@ def test_block_engine_matches_a_run_test_replay(name, monkeypatch):
     assert np.array_equal(result.t_stats, t_stats, equal_nan=True)
     np.testing.assert_array_equal(result.rejects, rejects)
     assert result.failure_counts == failures
-    if name in ("poisson", "bernoulli_n8", "normal+raise", "normal+domain"):
+    if name in ("poisson", "bernoulli_n8", "normal+domain"):
         assert failures  # the failing rows are exercised
 
 

@@ -393,6 +393,18 @@ def test_moments_that_overflow_are_named(name):
                 call()
 
 
+@pytest.mark.parametrize("name", ["gamma", "normal"])
+def test_a_covariance_that_overflows_is_named(name):
+    model = get_model(name)
+    data = np.random.default_rng(0).gamma(2.0, 1.0, 200)
+    data[50] = 1e100  # its moments, up to 1e200, are finite; their squares are not
+    for call in (run_test, detect, mme):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"covariance .* overflows \(data\[50\] = 1e\+100\)"):
+                call(data, model)
+
+
 def test_a_sum_of_moments_that_overflows_is_named():
     data = np.full(10, 1e154)  # x**2 = 1e308 is finite, two of them are not
     data[::2] = 0.5e154
