@@ -154,71 +154,71 @@ def _not_finite(x: np.ndarray, moments: np.ndarray, sums: np.ndarray) -> ValueEr
     )
 
 
-def _moment_sums(block: np.ndarray, model: MomentModel):
-    """One ``psi`` call over an ``(m, n)`` block of samples.
+def _moments(block: np.ndarray, model: MomentModel):
+    """The moment stage for every row of an ``(m, n)`` block of samples.
 
-    Returns the moments as an ``(m, n, dim)`` array that the caller may
-    overwrite (it never shares memory with ``block``), their raw prefix sums
-    ``S_k`` as an ``(m, n + 1, dim)`` array with ``S_0 = 0``,
-    ``psi_bar = S_n / n`` per row, and per row None or the ``ValueError``
-    that names the first observation whose moments are not finite (or at
-    which their sum overflows); such a row's moments, sums and ``psi_bar``
-    are zeroed so that the later stages stay finite. Each prefix sum is a
-    sequential sum, so a row's values do not depend on the other rows of
-    the block.
+    Makes one ``psi`` call and returns the raw prefix sums ``S_k`` as an
+    ``(m, n + 1, dim)`` array with ``S_0 = 0``, ``psi_bar = S_n / n`` and
+    the centred covariance ``(1/n) sum_k (psi_k - psi_bar)(psi_k -
+    psi_bar)'`` per row, and per row None or the ``ValueError`` that names
+    the first observation whose moments are not finite (or at which their
+    sum overflows), or the largest observation of a row whose covariance
+    overflows; such a row's sums, ``psi_bar`` and covariance are zeroed so
+    that the later stages stay finite. Each prefix sum is a sequential sum
+    and each covariance entry a pairwise sum over one contiguous row, so a
+    row's values do not depend on the other rows of the block.
+
+    The row and column of a constant moment are exactly zero: ``psi_bar``
+    carries the rounding of its sum, so centring would leave a spurious
+    spread that no relative conditioning check can see when ``dim == 1``.
+    A constant column has equal first and last entries, so only those
+    columns get the full comparison.
     """
     m, n = block.shape
+    d = model.dim
     # overflow is reported per row below, by name
     with np.errstate(over="ignore", invalid="ignore"):
         moments = np.asarray(model.psi(block.reshape(-1)), dtype=float)
+        # the moments are centred in place below
         if np.may_share_memory(moments, block) or not moments.flags.writeable:
             moments = moments.copy()
-        moments = moments.reshape(m, n, model.dim)
-        sums = np.empty((m, n + 1, model.dim))
+        moments = moments.reshape(m, n, d)
+        sums = np.empty((m, n + 1, d))
         sums[:, 0] = 0.0
-        if model.dim % 2 == 0 and moments.flags.c_contiguous:
+        if d % 2 == 0 and moments.flags.c_contiguous:
             # complex addition is componentwise, so each pair of columns is
             # summed in one pass with the same roundings as two real passes
             np.cumsum(moments.view(complex), axis=1, out=sums.view(complex)[:, 1:])
         else:
             np.cumsum(moments, axis=1, out=sums[:, 1:])
-    psi_bar = sums[:, n] / n
-    errors: list = [None] * m
-    for i in np.flatnonzero(~np.isfinite(psi_bar).all(axis=1)):
-        errors[i] = _not_finite(block[i], moments[i], sums[i])
-        moments[i] = sums[i] = psi_bar[i] = 0.0
-    return moments, sums, psi_bar, errors
+        psi_bar = sums[:, n] / n
+        errors: list = [None] * m
+        for i in np.flatnonzero(~np.isfinite(psi_bar).all(axis=1)):
+            errors[i] = _not_finite(block[i], moments[i], sums[i])
+            moments[i] = sums[i] = psi_bar[i] = 0.0
 
-
-def _centred_cov(moments: np.ndarray, psi_bar: np.ndarray) -> np.ndarray:
-    """Sample covariance ``(1/n) sum_k (psi_k - psi_bar)(psi_k - psi_bar)'``.
-
-    Works per row of an ``(m, n, dim)`` block and centres ``moments`` in
-    place, one column at a time. Each entry is a pairwise sum over one
-    contiguous row, so a row's covariance does not depend on the other
-    rows. The row and column of a constant moment are exactly zero:
-    ``psi_bar`` carries the rounding of its sum, so centring would leave a
-    spurious spread that no relative conditioning check can see when
-    ``dim == 1``. A constant column has equal first and last entries, so
-    only those columns get the full comparison.
-    """
-    m, n, d = moments.shape
-    maybe = moments[:, 0] == moments[:, -1]
-    constant = np.zeros((m, d), dtype=bool)
-    for j in range(d):
-        rows = np.flatnonzero(maybe[:, j])
-        if rows.size:
-            col = moments[:, :, j] if rows.size == m else moments[rows, :, j]
-            constant[rows, j] = (col == col[:, :1]).all(axis=1)
-        moments[:, :, j] -= psi_bar[:, j, None]
-    cov = np.empty((m, d, d))
-    prod = np.empty((m, n))
-    for i in range(d):
-        for j in range(i + 1):
-            np.multiply(moments[:, :, i], moments[:, :, j], out=prod)
-            cov[:, i, j] = cov[:, j, i] = prod.sum(axis=1) / n
-    cov[constant[:, :, None] | constant[:, None, :]] = 0.0
-    return cov
+        maybe = moments[:, 0] == moments[:, -1]
+        constant = np.zeros((m, d), dtype=bool)
+        for j in range(d):
+            rows = np.flatnonzero(maybe[:, j])
+            if rows.size:
+                col = moments[:, :, j] if rows.size == m else moments[rows, :, j]
+                constant[rows, j] = (col == col[:, :1]).all(axis=1)
+            moments[:, :, j] -= psi_bar[:, j, None]
+        cov = np.empty((m, d, d))
+        prod = np.empty((m, n))
+        for i in range(d):
+            for j in range(i + 1):
+                np.multiply(moments[:, :, i], moments[:, :, j], out=prod)
+                cov[:, i, j] = cov[:, j, i] = prod.sum(axis=1) / n
+        cov[constant[:, :, None] | constant[:, None, :]] = 0.0
+    for i in np.flatnonzero(~np.isfinite(cov).all(axis=(1, 2))):
+        k = int(np.argmax(np.abs(block[i])))
+        errors[i] = ValueError(
+            f"the covariance of psi(data) overflows (data[{k}] = {float(block[i, k])!r})"
+        )
+        sums[i] = psi_bar[i] = cov[i] = 0.0
+    return sums, psi_bar, cov, errors
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -323,24 +323,11 @@ class _BlockFit:
 def _fit(block: np.ndarray, model: MomentModel, theta_init=None) -> _BlockFit:
     """The moment estimate for every row of an ``(m, n)`` block of samples.
 
-    Makes one ``psi`` call and one prefix-sum pass over the block, checks
-    each row's centred covariance for overflow and degeneracy, then solves
-    the rows that passed with :func:`_solve`, which gives a failed row its
-    own error. A row whose covariance overflows gets a ``ValueError``
-    naming its largest observation, and its sums are zeroed like those of
-    a row whose moments are not finite.
+    Runs the moment stage :func:`_moments`, checks each row's centred
+    covariance for degeneracy, then solves the rows that passed with
+    :func:`_solve`, which gives a failed row its own error.
     """
-    moments, sums, psi_bar, errors = _moment_sums(block, model)
-    # an overflow is reported per row below, by name
-    with np.errstate(over="ignore", invalid="ignore"):
-        cov = _centred_cov(moments, psi_bar)
-    del moments  # free the (m, n, dim) buffer before the fits
-    for i in np.flatnonzero(~np.isfinite(cov).all(axis=(1, 2))):
-        k = int(np.argmax(np.abs(block[i])))
-        errors[i] = ValueError(
-            f"the covariance of psi(data) overflows (data[{k}] = {float(block[i, k])!r})"
-        )
-        sums[i] = psi_bar[i] = cov[i] = 0.0
+    sums, psi_bar, cov, errors = _moments(block, model)
     for i in np.flatnonzero(_ill_conditioned(cov)):
         if errors[i] is None:
             errors[i] = DegenerateSample(_DEGENERATE)

@@ -170,9 +170,15 @@ class ExperimentResult:
     rejects: np.ndarray
 
 
-def _block_rows(n: int) -> int:
-    """Replications per block of samples of length ``n``."""
-    return max(1, min(_MC_CHUNK, _BLOCK_VALUES // n))
+def _seed_blocks(seed: int, n: int, reps: int) -> list:
+    """The seed streams of ``reps`` replications of length ``n``, in blocks.
+
+    The streams are spawned from ``SeedSequence([seed, n])``; each block
+    holds the streams of one ``(rows, n)`` block of samples.
+    """
+    children = np.random.SeedSequence([seed, n]).spawn(reps)
+    rows = max(1, min(_MC_CHUNK, _BLOCK_VALUES // n))
+    return [children[i : i + rows] for i in range(0, reps, rows)]
 
 
 def _sample_block(model, theta0, theta1, ustar, n, seeds) -> np.ndarray:
@@ -227,18 +233,9 @@ def run_experiment(
     """
     model = validate_config(config)
     crit = lookup_critical_value(model.dim, config.level, table)
-    children = np.random.SeedSequence([config.seed, config.n]).spawn(config.m)
-    rows = _block_rows(config.n)
     tasks = [
-        (
-            config.model,
-            config.theta0,
-            config.theta1,
-            config.ustar,
-            config.n,
-            children[i : i + rows],
-        )
-        for i in range(0, config.m, rows)
+        (config.model, config.theta0, config.theta1, config.ustar, config.n, seeds)
+        for seeds in _seed_blocks(config.seed, config.n, config.m)
     ]
     u_parts, t_parts, failure_parts = zip(*_run_tasks(_run_chunk, tasks, jobs))
     u_hats = np.concatenate(u_parts)
@@ -448,19 +445,10 @@ def sup_zn_gap(
     oracle = alternative_oracle(model, theta0, theta1, ustar)
     ks = np.arange(n + 1, dtype=float)
     drift = oracle.drift(ks / n)
-    children = np.random.SeedSequence([seed, n]).spawn(reps)
     change = tuple(np.asarray(theta1, float)) != tuple(np.asarray(theta0, float))
     gaps = []
-    rows = _block_rows(n)
-    for start in range(0, reps, rows):
-        block = _sample_block(
-            model,
-            theta0,
-            theta1 if change else None,
-            ustar,
-            n,
-            children[start : start + rows],
-        )
+    for seeds in _seed_blocks(seed, n, reps):
+        block = _sample_block(model, theta0, theta1 if change else None, ustar, n, seeds)
         fit = _fit(block, model)
         dist = np.linalg.norm(_subtract_drift(fit.sums, ks, fit.means) / n - drift, axis=2)
         gaps += [float(dist[i].max()) for i, e in enumerate(fit.errors) if e is None]

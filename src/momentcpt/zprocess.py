@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularCovariance
-from .estimator import _as_sample, _centred_cov, _fit, _moment_sums
+from .estimator import _as_sample, _fit, _moments
 from .limits import _check_level, lookup_critical_value
 from .models import MomentModel, _ill_conditioned
 
@@ -164,9 +164,17 @@ def _statistic(block: np.ndarray, model: MomentModel) -> _Rows:
 
 
 def build_state(data, model: MomentModel) -> ZProcessState:
-    """Precompute prefix sums of ``psi`` so any Z_n(u, theta) is O(dim)."""
+    """Precompute prefix sums of ``psi`` so any Z_n(u, theta) is O(dim).
+
+    Raises
+    ------
+    ValueError
+        If the data are not a one-dimensional vector of finite values, or
+        the moments, their sum or their covariance are not finite; these
+        are the samples that :func:`run_test` rejects with the same error.
+    """
     data = _as_sample(data, 1)
-    _, sums, _, errors = _moment_sums(data[None], model)
+    sums, _, _, errors = _moments(data[None], model)
     if errors[0] is not None:
         raise errors[0]
     return ZProcessState(n=data.shape[0], dim=model.dim, prefix=sums[0])
@@ -178,8 +186,7 @@ def z_at(state: ZProcessState, u: float, theta, model: MomentModel) -> np.ndarra
         raise ValueError(f"u must lie in [0, 1], got {u!r}")
     k = _floor_index(float(u), state.n)
     mean = np.asarray(model.mean(model.require(theta)), dtype=float)
-    sums = np.array(state.prefix[k], dtype=float)[None, None, :]
-    return _subtract_drift(sums, np.array([float(k)]), mean[None])[0, 0] / state.n
+    return (state.prefix[k] - k * mean) / state.n
 
 
 def sigma_hat(data, theta, model: MomentModel) -> np.ndarray:
@@ -197,14 +204,15 @@ def sigma_hat(data, theta, model: MomentModel) -> np.ndarray:
         If the result has condition number above 1e12.
     ValueError
         If the data are not a one-dimensional vector of finite values, or
-        their moments are not finite.
+        the moments, their sum or their covariance are not finite; these
+        are the samples that :func:`run_test` rejects with the same error.
     """
     mean = np.asarray(model.mean(model.require(theta)), dtype=float)
     data = _as_sample(data, 1)
-    moments, _, psi_bar, errors = _moment_sums(data[None], model)
+    _, psi_bar, cov, errors = _moments(data[None], model)
     if errors[0] is not None:
         raise errors[0]
-    sigma = _plug_in(_centred_cov(moments, psi_bar), psi_bar, mean[None])
+    sigma = _plug_in(cov, psi_bar, mean[None])
     if _ill_conditioned(sigma)[0]:
         raise SingularCovariance(_SINGULAR_SIGMA)
     return sigma[0]

@@ -230,6 +230,14 @@ class TestRunExperiment:
         assert result.u_hat_rmse < 0.1
         # modal histogram bin straddles ustar (bin 37 covers [0.74, 0.76))
         assert int(np.argmax(result.histogram_counts)) == 37
+        # without bins only the histogram and the config differ
+        flat = run_experiment(replace(config, histogram_bins=0))
+        assert flat.histogram_counts is None and flat.histogram_edges is None
+        for field in dataclasses.fields(result):
+            if field.name not in ("config", "histogram_counts", "histogram_edges"):
+                np.testing.assert_array_equal(
+                    getattr(flat, field.name), getattr(result, field.name)
+                )
 
     def test_failed_replications_are_counted_not_aggregated(self):
         config = ExperimentConfig(

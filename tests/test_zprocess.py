@@ -261,6 +261,11 @@ COMPOSED_MODELS = {
         affine_transform(get_model("normal"), [[2.0, 0.0], [1.0, 1.0]], [3.0, -1.0]),
         SAFE_THETA["normal"],
     ),
+    # no inverse_mean to pull back: the Newton path through the transform
+    "gamma~newton~affine": (
+        affine_transform(_newton_gamma(), [[2.0, 0.0], [1.0, 1.0]], [3.0, -1.0]),
+        SAFE_THETA["gamma"],
+    ),
 }
 
 
@@ -398,11 +403,18 @@ def test_a_covariance_that_overflows_is_named(name):
     model = get_model(name)
     data = np.random.default_rng(0).gamma(2.0, 1.0, 200)
     data[50] = 1e100  # its moments, up to 1e200, are finite; their squares are not
-    for call in (run_test, detect, mme):
+    calls = [
+        lambda: run_test(data, model),
+        lambda: detect(data, model),
+        lambda: mme(data, model),
+        lambda: build_state(data, model),
+        lambda: sigma_hat(data, SAFE_THETA[name], model),
+    ]
+    for call in calls:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"covariance .* overflows \(data\[50\] = 1e\+100\)"):
-                call(data, model)
+                call()
 
 
 def test_a_sum_of_moments_that_overflows_is_named():
