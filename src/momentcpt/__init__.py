@@ -54,7 +54,6 @@ from .zprocess import (
     TestReport,
     ZProcessState,
     build_state,
-    change_point,
     detect,
     run_test,
     sigma_hat,
@@ -85,7 +84,6 @@ __all__ = [
     "asymptotic_covariance",
     "bernoulli_model",
     "build_state",
-    "change_point",
     "consistency_diagnostics",
     "critical_value",
     "default_table",

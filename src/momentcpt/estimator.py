@@ -236,12 +236,12 @@ _DEGENERATE = (
 )
 
 
-def _solve(psi_bar: np.ndarray, model: MomentModel, errors: list, theta_init=None):
+def _solve(psi_bar: np.ndarray, model: MomentModel, errors: list):
     """Solve ``mean(theta) = psi_bar`` for each row of an ``(m, dim)`` array.
 
     Rows whose entry of ``errors`` is set are skipped. A closed-form model
     takes one ``inverse_mean`` call on the other rows, a Newton-only model
-    one :func:`newton_solve` per row from ``theta_init`` or ``init_guess``.
+    one :func:`newton_solve` per row from ``init_guess``.
     Then one domain check, one ``mean`` call and the residual bound that
     :func:`mme` documents cover every row. A row that fails gets its error
     in ``errors``, NaN ``theta`` and residual, 0 iterations and
@@ -256,13 +256,12 @@ def _solve(psi_bar: np.ndarray, model: MomentModel, errors: list, theta_init=Non
     # below, or newton_solve, rejects it
     with np.errstate(divide="ignore", invalid="ignore"):
         if model.inverse_mean is None:
-            if rows.size and theta_init is None and model.init_guess is None:
+            if rows.size and model.init_guess is None:
                 raise ValueError(
-                    f"model {model.name!r} has no inverse_mean or init_guess; "
-                    "pass theta_init"
+                    f"model {model.name!r} has no inverse_mean or init_guess"
                 )
             for i in rows:
-                start = model.init_guess(psi_bar[i]) if theta_init is None else theta_init
+                start = model.init_guess(psi_bar[i])
                 try:
                     fit = newton_solve(psi_bar[i], model, start)
                 except EstimationError as exc:
@@ -320,7 +319,7 @@ class _BlockFit:
     errors: list
 
 
-def _fit(block: np.ndarray, model: MomentModel, theta_init=None) -> _BlockFit:
+def _fit(block: np.ndarray, model: MomentModel) -> _BlockFit:
     """The moment estimate for every row of an ``(m, n)`` block of samples.
 
     Runs the moment stage :func:`_moments`, checks each row's centred
@@ -331,11 +330,11 @@ def _fit(block: np.ndarray, model: MomentModel, theta_init=None) -> _BlockFit:
     for i in np.flatnonzero(_ill_conditioned(cov)):
         if errors[i] is None:
             errors[i] = DegenerateSample(_DEGENERATE)
-    theta, means, residual, iterations = _solve(psi_bar, model, errors, theta_init)
+    theta, means, residual, iterations = _solve(psi_bar, model, errors)
     return _BlockFit(sums, psi_bar, cov, theta, means, residual, iterations, errors)
 
 
-def mme(data, model: MomentModel, theta_init=None) -> MMEResult:
+def mme(data, model: MomentModel) -> MMEResult:
     """Method of moments estimate from a full sample.
 
     Solves ``mean(theta) = psi-bar`` where ``psi-bar`` is the sample average
@@ -347,15 +346,14 @@ def mme(data, model: MomentModel, theta_init=None) -> MMEResult:
     data : array_like
         Finite observations, shape ``(n,)`` with ``n >= dim + 1``.
     model : MomentModel
-    theta_init : array_like, optional
-        Starting point for the Newton path; ignored when the model has a
-        closed-form ``inverse_mean``.
+        A model without a closed-form ``inverse_mean`` is solved by Newton
+        iteration from ``init_guess(psi-bar)``.
 
     Raises
     ------
     DegenerateSample
-        If the sample covariance of ``psi(X)`` is singular (condition number
-        above 1e12), e.g. for constant data.
+        If the sample covariance of ``psi(X)`` is singular: its correlation
+        matrix has condition number above 1e12, e.g. for constant data.
     OutOfDomain
         If the moment average has no preimage inside the parameter domain;
         the message names the moment vector and the model.
@@ -364,11 +362,11 @@ def mme(data, model: MomentModel, theta_init=None) -> MMEResult:
     ValueError
         If the sample is not one-dimensional, shorter than ``dim + 1`` or
         holds a non-finite value, if the moments of an observation (or
-        their sum, or their covariance) are not finite, or if no starting
-        point is available for a model without ``inverse_mean``.
+        their sum, or their covariance) are not finite, or if the model has
+        neither ``inverse_mean`` nor ``init_guess``.
     """
     data = _as_sample(data, model.dim + 1)
-    fit = _fit(data[None], model, theta_init)
+    fit = _fit(data[None], model)
     if fit.errors[0] is not None:
         raise fit.errors[0]
     method = "newton" if model.inverse_mean is None else "closed_form"

@@ -152,8 +152,10 @@ def critical_value(
         levels = (float(level),)
     else:
         levels = tuple(float(l) for l in level)
-    if not levels or any(not 0.0 < l < 1.0 for l in levels):
-        raise ValueError("levels must lie strictly inside (0, 1)")
+    if not levels:
+        raise ValueError("need at least one level")
+    for lvl in levels:
+        _check_level(lvl)
 
     n_chunks = math.ceil(replications / _CHUNK)
     sizes = [_CHUNK] * (n_chunks - 1) + [replications - _CHUNK * (n_chunks - 1)]
@@ -262,19 +264,12 @@ def default_table() -> dict[tuple[int, float], TableRow]:
 def lookup_critical_value(dim: int, level: float, table=None) -> float:
     """Resolve a critical value for (dim, level).
 
-    ``table`` may be None (packaged default), a path to a table file, a
-    mapping of rows as returned by :func:`read_table_file`, or a
-    :class:`CriticalValueTable`.
+    ``table`` is None for the packaged table or the path of a table file,
+    as :func:`write_table_file` writes it. A value held in memory goes to
+    :func:`~momentcpt.zprocess.run_test` as ``critical_value`` instead.
     """
     _check_level(level)
-    if isinstance(table, CriticalValueTable):
-        rows = rows_from_table(table)
-    elif table is None:
-        rows = default_table()
-    elif isinstance(table, (str, Path)):
-        rows = read_table_file(table)
-    else:
-        rows = table
+    rows = default_table() if table is None else read_table_file(table)
     try:
         row = rows[_key(dim, level)]
     except KeyError:
@@ -284,5 +279,4 @@ def lookup_critical_value(dim: int, level: float, table=None) -> float:
             f"{level} --out FILE' and pass it with '--table FILE' (in the "
             f"library, table=FILE), or pass critical_value explicitly"
         ) from None
-    value = row.value if isinstance(row, TableRow) else row
-    return float(value)
+    return row.value

@@ -43,11 +43,20 @@ _COND_EPS = 1e-12
 def _ill_conditioned(mats) -> np.ndarray:
     """Per symmetric matrix of a stack: not positive definite to within 1e12.
 
-    True when the largest eigenvalue is not positive or the smallest is at
-    most ``_COND_EPS`` times the largest.
+    The test runs on the correlation matrix ``D^-1/2 A D^-1/2``, with ``D``
+    the diagonal of ``A``, so it does not depend on the scale of each
+    coordinate. True when an entry is not finite or a diagonal entry is not
+    positive, or when the smallest eigenvalue of the correlation matrix is
+    at most ``_COND_EPS`` times the largest.
     """
-    eigs = np.linalg.eigvalsh(mats)
-    return (eigs[..., -1] <= 0.0) | (eigs[..., 0] <= _COND_EPS * eigs[..., -1])
+    diag = np.diagonal(mats, axis1=-2, axis2=-1)
+    bad = ~(diag > 0.0).all(axis=-1) | ~np.isfinite(mats).all(axis=(-2, -1))
+    scale = np.sqrt(np.where(bad[..., None], 1.0, diag))
+    corr = mats / scale[..., :, None] / scale[..., None, :]
+    eigs = np.linalg.eigvalsh(
+        np.where(bad[..., None, None], np.eye(mats.shape[-1]), corr)
+    )
+    return bad | (eigs[..., 0] <= _COND_EPS * eigs[..., -1])
 
 
 def _near_singular(mat) -> bool:
@@ -58,6 +67,28 @@ def _near_singular(mat) -> bool:
     """
     svals = np.linalg.svd(mat, compute_uv=False)
     return bool(svals[0] <= 0.0 or svals[-1] <= _COND_EPS * svals[0])
+
+
+def _mean_at(theta, model: MomentModel) -> np.ndarray:
+    """``mean(theta)`` as a float array, for a theta inside the domain.
+
+    Raises
+    ------
+    OutOfDomain
+        If theta lies outside the domain of the model.
+    ValueError
+        If ``mean(theta)`` is not finite, naming theta and the model.
+    """
+    theta = model.require(theta)
+    # an overflow is reported below, by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = np.asarray(model.mean(theta), dtype=float)
+    if not np.isfinite(mean).all():
+        raise ValueError(
+            f"mean(theta) is not finite at theta = {theta.tolist()} "
+            f"for model {model.name!r}"
+        )
+    return mean
 
 
 def _psi_x(x):

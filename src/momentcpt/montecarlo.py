@@ -24,7 +24,7 @@ import numpy as np
 from .errors import EstimationError, SingularCovariance
 from .estimator import _fit, _solve
 from .limits import _run_tasks, lookup_critical_value
-from .models import MomentModel, _ill_conditioned, get_model
+from .models import MomentModel, _ill_conditioned, _mean_at, get_model
 from .zprocess import _floor_index, _statistic, _subtract_drift
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "sup_zn_gap",
     "sup_zn_convergence_check",
     "load_config",
-    "validate_config",
 ]
 
 # Replications per block handed to the statistic core, and per worker task.
@@ -74,6 +73,10 @@ class ExperimentConfig:
     draw ``floor(ustar * n)`` observations under ``theta0`` and the rest
     under ``theta1``. Without them the sample is homogeneous and the
     experiment measures test size instead of power.
+
+    A config is valid once constructed: a bad value, an unknown model, a
+    theta outside the model's domain or ``n < dim + 2`` raises a
+    ``ValueError`` that names the config key.
     """
 
     model: str
@@ -111,34 +114,26 @@ class ExperimentConfig:
                 "config key 'theta1': must differ from theta0 "
                 "(omit both theta1 and ustar for a no-change experiment)"
             )
+        try:
+            model = get_model(self.model)
+        except ValueError as exc:
+            raise ValueError(f"config key 'model': {exc}") from None
+        for key in ("theta0", "theta1"):
+            theta = getattr(self, key)
+            if theta is not None and not model.contains(theta):
+                raise ValueError(
+                    f"config key '{key}': {theta!r} outside the domain "
+                    f"of model {self.model!r}"
+                )
+        if self.n < model.dim + 2:
+            raise ValueError(
+                f"config key 'n': need at least {model.dim + 2} observations "
+                f"for model {self.model!r}"
+            )
 
     @property
     def has_change(self) -> bool:
         return self.theta1 is not None
-
-
-def validate_config(config: ExperimentConfig) -> MomentModel:
-    """Resolve the model and run the model-dependent config checks."""
-    try:
-        model = get_model(config.model)
-    except ValueError as exc:
-        raise ValueError(f"config key 'model': {exc}") from None
-    if not model.contains(config.theta0):
-        raise ValueError(
-            f"config key 'theta0': {config.theta0!r} outside the domain "
-            f"of model {config.model!r}"
-        )
-    if config.theta1 is not None and not model.contains(config.theta1):
-        raise ValueError(
-            f"config key 'theta1': {config.theta1!r} outside the domain "
-            f"of model {config.model!r}"
-        )
-    if config.n < model.dim + 2:
-        raise ValueError(
-            f"config key 'n': need at least {model.dim + 2} observations "
-            f"for model {config.model!r}"
-        )
-    return model
 
 
 @dataclass(frozen=True)
@@ -229,9 +224,11 @@ def run_experiment(
 
     Replication streams are spawned from ``SeedSequence([seed, n])``, so the
     result is reproducible for a fixed config and identical for any ``jobs``
-    value. ``table`` is forwarded to the critical value lookup.
+    value. The critical value comes from ``table``, None for the packaged
+    table or the path of a table file, through
+    :func:`~momentcpt.limits.lookup_critical_value`.
     """
-    model = validate_config(config)
+    model = get_model(config.model)
     crit = lookup_critical_value(model.dim, config.level, table)
     tasks = [
         (config.model, config.theta0, config.theta1, config.ustar, config.n, seeds)
@@ -333,13 +330,10 @@ def alternative_oracle(
         raise ValueError(f"ustar must lie in (0, 1), got {ustar!r}")
     theta0 = model.require(theta0)
     theta1 = model.require(theta1)
-    mean0 = np.asarray(model.mean(theta0), dtype=float)
-    mean1 = np.asarray(model.mean(theta1), dtype=float)
+    mean0, mean1 = _mean_at(theta0, model), _mean_at(theta1, model)
     mixed = ustar * mean0 + (1.0 - ustar) * mean1
     errors = [None]
-    theta_star = _solve(
-        mixed[None], model, errors, theta0 if model.init_guess is None else None
-    )[0][0]
+    theta_star = _solve(mixed[None], model, errors)[0][0]
     if errors[0] is not None:
         raise errors[0]
 
@@ -384,14 +378,16 @@ def consistency_diagnostics(
 
     For each sample size, reports the fraction of replications whose
     statistic exceeds half the theoretical detection bound and the median
-    absolute location error. Requires a change experiment.
+    absolute location error. Requires a change experiment. ``jobs`` and
+    ``table`` (None or the path of a table file) are forwarded to
+    :func:`run_experiment`.
     """
     if not config.has_change:
         raise ValueError(
             "consistency diagnostics need a change experiment; set "
             "'theta1' and 'ustar' in the config"
         )
-    model = validate_config(config)
+    model = get_model(config.model)
     oracle = alternative_oracle(model, config.theta0, config.theta1, config.ustar)
     rows = []
     for n in n_values:
@@ -473,7 +469,7 @@ def sup_zn_convergence_check(
             "'ustar' in the config (use sup_zn_gap directly for a stable "
             "model)"
         )
-    model = validate_config(config)
+    model = get_model(config.model)
     return {
         int(n): sup_zn_gap(
             model,
@@ -521,9 +517,7 @@ def load_config(path) -> list[ExperimentConfig]:
 
     configs = []
     for ustar, n in itertools.product(ustar_list, n_list):
-        config = ExperimentConfig(**{**raw, "n": n, "ustar": ustar})
-        validate_config(config)
-        configs.append(config)
+        configs.append(ExperimentConfig(**{**raw, "n": n, "ustar": ustar}))
     if not configs:
         raise ValueError(f"{path}: the lists of 'n' and 'ustar' give no experiment")
     return configs

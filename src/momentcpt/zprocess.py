@@ -39,7 +39,7 @@ import numpy as np
 from .errors import SingularCovariance
 from .estimator import _as_sample, _fit, _moments
 from .limits import _check_level, lookup_critical_value
-from .models import MomentModel, _ill_conditioned
+from .models import MomentModel, _ill_conditioned, _mean_at
 
 __all__ = [
     "ZProcessState",
@@ -50,7 +50,6 @@ __all__ = [
     "t_path",
     "run_test",
     "detect",
-    "change_point",
 ]
 
 _SINGULAR_SIGMA = "plug-in covariance of psi(X) is numerically singular"
@@ -180,12 +179,31 @@ def build_state(data, model: MomentModel) -> ZProcessState:
     return ZProcessState(n=data.shape[0], dim=model.dim, prefix=sums[0])
 
 
+def _state_mean(state: ZProcessState, theta, model: MomentModel) -> np.ndarray:
+    """``mean(theta)`` for a state built with a model of the same dimension."""
+    if state.dim != model.dim:
+        raise ValueError(
+            f"state.dim = {state.dim} does not match model.dim = {model.dim} "
+            f"of model {model.name!r}"
+        )
+    return _mean_at(theta, model)
+
+
 def z_at(state: ZProcessState, u: float, theta, model: MomentModel) -> np.ndarray:
-    """Evaluate ``Z_n(u, theta) = (S_k - k * mean(theta)) / n``, k=floor(un)."""
+    """Evaluate ``Z_n(u, theta) = (S_k - k * mean(theta)) / n``, k=floor(un).
+
+    Raises
+    ------
+    OutOfDomain
+        If theta lies outside the domain of the model.
+    ValueError
+        If u lies outside [0, 1], the state was built for a model of another
+        dimension, or ``mean(theta)`` is not finite.
+    """
     if not 0.0 <= u <= 1.0:
         raise ValueError(f"u must lie in [0, 1], got {u!r}")
     k = _floor_index(float(u), state.n)
-    mean = np.asarray(model.mean(model.require(theta)), dtype=float)
+    mean = _state_mean(state, theta, model)
     return (state.prefix[k] - k * mean) / state.n
 
 
@@ -201,18 +219,27 @@ def sigma_hat(data, theta, model: MomentModel) -> np.ndarray:
     OutOfDomain
         If theta lies outside the domain of the model.
     SingularCovariance
-        If the result has condition number above 1e12.
+        If the correlation matrix of the result has condition number above
+        1e12.
     ValueError
         If the data are not a one-dimensional vector of finite values, or
         the moments, their sum or their covariance are not finite; these
         are the samples that :func:`run_test` rejects with the same error.
+        Also if ``mean(theta)`` or the result is not finite.
     """
-    mean = np.asarray(model.mean(model.require(theta)), dtype=float)
+    mean = _mean_at(theta, model)
     data = _as_sample(data, 1)
     _, psi_bar, cov, errors = _moments(data[None], model)
     if errors[0] is not None:
         raise errors[0]
-    sigma = _plug_in(cov, psi_bar, mean[None])
+    # an overflow is reported below, by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = _plug_in(cov, psi_bar, mean[None])
+    if not np.isfinite(sigma).all():
+        raise ValueError(
+            f"the plug-in covariance overflows at theta = "
+            f"{np.asarray(theta, dtype=float).tolist()} for model {model.name!r}"
+        )
     if _ill_conditioned(sigma)[0]:
         raise SingularCovariance(_SINGULAR_SIGMA)
     return sigma[0]
@@ -233,11 +260,12 @@ def t_path(
     OutOfDomain
         If theta lies outside the domain of the model.
     ValueError
-        If sigma is not a finite ``(dim, dim)`` array.
+        If sigma is not a finite ``(dim, dim)`` array, the state was built
+        for a model of another dimension, or ``mean(theta)`` is not finite.
     SingularCovariance
-        If sigma has condition number above 1e12.
+        If the correlation matrix of sigma has condition number above 1e12.
     """
-    mean = np.asarray(model.mean(model.require(theta)), dtype=float)
+    mean = _state_mean(state, theta, model)
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (model.dim, model.dim) or not np.isfinite(sigma).all():
         raise ValueError(
@@ -254,8 +282,9 @@ def t_path(
 class TestReport:
     """Everything produced by one run of the change point test.
 
-    ``u_hat = k_hat / n`` locates the largest statistic value; it is reported
-    whether or not the test rejects (flagged by ``reject``). ``level`` and
+    ``k_hat`` is the first index at which ``t_path`` takes its largest
+    value and ``u_hat = k_hat / n``; both are reported whether or not the
+    test rejects (flagged by ``reject``). ``level`` and
     ``critical_value`` are None for estimation-only runs.
     """
 
@@ -317,11 +346,10 @@ def run_test(
         Test level in (0, 1).
     critical_value : float, optional
         Explicit threshold, not NaN; ``inf`` never rejects. When omitted it
-        is looked up for ``(model.dim, level)`` in ``table`` (or the
-        packaged table).
-    table : optional
-        Table mapping, path, :class:`~momentcpt.limits.CriticalValueTable`,
-        or None for the packaged default; forwarded to
+        is looked up for ``(model.dim, level)`` in ``table``.
+    table : str or path, optional
+        None for the packaged table, or the path of a table file as
+        :func:`momentcpt.limits.write_table_file` writes it; forwarded to
         :func:`momentcpt.limits.lookup_critical_value`.
     """
     _check_level(level)
@@ -340,9 +368,3 @@ def detect(data, model: MomentModel) -> TestReport:
     ``level`` and ``critical_value`` are None and ``reject`` is False.
     """
     return _report(data, model)
-
-
-def change_point(report: TestReport) -> tuple[float, int]:
-    """Smallest maximizer of the statistic path as ``(u_hat, k_hat)``."""
-    k_hat = int(np.argmax(report.t_path))
-    return k_hat / report.n, k_hat

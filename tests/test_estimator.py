@@ -195,9 +195,10 @@ def test_mme_without_any_starting_point():
         gamma_model(), inverse_mean=None, init_guess=None
     )
     data = np.array([0.5, 1.0, 2.0, 4.0])
-    with pytest.raises(ValueError, match="theta_init"):
+    with pytest.raises(ValueError, match="init_guess"):
         mme(data, bare)
-    result = mme(data, bare, theta_init=(1.0, 1.0))
+    start = dataclasses.replace(bare, init_guess=lambda m: np.array([1.0, 1.0]))
+    result = mme(data, start)
     np.testing.assert_allclose(result.theta, mme(data, gamma_model()).theta)
 
 

@@ -111,8 +111,12 @@ def test_grid_refinement_is_within_monte_carlo_noise():
 def test_invalid_arguments_raise():
     with pytest.raises(ValueError):
         critical_value(0, 0.05, replications=100, grid=10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"level must lie in \(0, 1\), got 1.5"):
         critical_value(1, 1.5, replications=100, grid=10)
+    with pytest.raises(ValueError, match="level"):
+        critical_value(1, [0.05, 0.0], replications=100, grid=10)
+    with pytest.raises(ValueError, match="at least one level"):
+        critical_value(1, [], replications=100, grid=10)
     with pytest.raises(ValueError):
         critical_value(1, 0.05, replications=1, grid=10)
 
@@ -162,7 +166,6 @@ def test_packaged_values_match_known_quantiles():
 def test_lookup_paths_and_missing_key_guidance(tmp_path):
     assert lookup_critical_value(2, 0.05) == default_table()[(2, 0.05)].value
     table = critical_value(3, 0.2, replications=2000, grid=100, seed=5)
-    assert lookup_critical_value(3, 0.2, table) == table.quantiles[0.2]
     path = tmp_path / "cv.txt"
     write_table_file(path, rows_from_table(table))
     assert lookup_critical_value(3, 0.2, path) == table.quantiles[0.2]

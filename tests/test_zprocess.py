@@ -12,15 +12,15 @@ from momentcpt import (
     DegenerateSample,
     OutOfDomain,
     SingularCovariance,
-    TestReport,
     affine_transform,
     build_state,
-    change_point,
     detect,
+    exponential_model,
     gamma_model,
     get_model,
     lookup_critical_value,
     mme,
+    normal_model,
     run_test,
     sigma_hat,
     t_path,
@@ -132,7 +132,6 @@ def test_run_test_report_is_self_consistent():
     assert report.u_hat == report.k_hat / report.n
     assert report.reject == (report.t_stat > report.critical_value)
     assert report.reject  # quadrupled scale halfway through the sample
-    assert change_point(report) == (report.u_hat, report.k_hat)
 
 
 def test_run_test_rejects_bad_level_and_short_data():
@@ -162,19 +161,10 @@ def test_run_test_uses_packaged_table_by_default():
 
 
 def test_change_point_takes_first_of_tied_maxima():
-    report = TestReport(
-        n=4,
-        theta_hat=np.array([1.0]),
-        sigma_hat=np.array([[1.0]]),
-        t_path=np.array([0.0, 1.0, 3.0, 3.0, 0.0]),
-        t_stat=3.0,
-        level=None,
-        critical_value=None,
-        reject=False,
-        u_hat=0.5,
-        k_hat=2,
-    )
-    assert change_point(report) == (0.5, 2)
+    # psi_bar = 2 exactly and Z_n = (-1, 0, -1, 0) / 4: the path ties at k = 1, 3
+    report = detect(np.array([1.0, 3.0, 1.0, 3.0]), exponential_model())
+    np.testing.assert_array_equal(report.t_path, [0.0, 0.25, 0.0, 0.25, 0.0])
+    assert (report.u_hat, report.k_hat) == (0.25, 1)
 
 
 def test_detect_reports_location_without_a_decision():
@@ -422,3 +412,49 @@ def test_a_sum_of_moments_that_overflows_is_named():
     data[::2] = 0.5e154
     with pytest.raises(ValueError, match=r"sum of psi\(data\[:4\]\) overflows"):
         detect(data, gamma_model())
+
+
+def test_pieces_name_a_theta_whose_mean_overflows():
+    # (1e150, 1e-10) lies inside gamma's domain, but alpha^2 / lam^2 = 1e320
+    g = gamma_model()
+    x = np.random.default_rng(0).gamma(2.0, 1.0, 200)
+    state = build_state(x, g)
+    theta = (1e150, 1e-10)
+    calls = [
+        lambda: sigma_hat(x, theta, g),
+        lambda: t_path(state, theta, np.eye(2), g),
+        lambda: z_at(state, 0.5, theta, g),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"mean\(theta\) is not finite .*1e\+150.*'gamma'"):
+            call()
+    # a finite mean (1e110, 1e220) whose plug-in covariance r r' overflows
+    with pytest.raises(ValueError, match=r"plug-in covariance overflows .*1e-100.*'gamma'"):
+        sigma_hat(x, (1e10, 1e-100), g)
+
+
+def test_pieces_reject_a_state_built_for_another_model():
+    x = np.random.default_rng(0).gamma(2.0, 1.0, 200)
+    with pytest.raises(ValueError, match="state.dim = 2 .* model.dim = 1"):
+        z_at(build_state(x, gamma_model()), 0.5, (1.0,), exponential_model())
+    with pytest.raises(ValueError, match="state.dim = 1 .* model.dim = 2"):
+        t_path(build_state(x, exponential_model()), (2.0, 1.0), np.eye(2), gamma_model())
+
+
+# In (x, x^2) coordinates the covariances of these samples have condition
+# numbers above 1e12; their correlation matrices do not.
+@pytest.mark.parametrize("shift", [700.0, 1000.0])
+def test_shifted_normal_data_are_not_degenerate(shift):
+    x = np.random.default_rng(5).standard_normal(500)
+    t_stat = detect(x + shift, normal_model()).t_stat
+    # T is invariant under a shift of normal data
+    np.testing.assert_allclose(t_stat, detect(x, normal_model()).t_stat, rtol=1e-8)
+
+
+@pytest.mark.parametrize("shape", [1e4, 3e4, 1e5])
+def test_gamma_data_with_a_large_shape_are_not_degenerate(shape):
+    x = np.random.default_rng(6).gamma(shape, 1.0, 1000)
+    t_stat = detect(x, gamma_model()).t_stat
+    assert np.isfinite(t_stat)
+    # T is invariant under a scale change of gamma data
+    np.testing.assert_allclose(detect(x / 8.0, gamma_model()).t_stat, t_stat, rtol=1e-8)
