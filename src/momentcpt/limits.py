@@ -16,6 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from numbers import Integral
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
@@ -98,9 +99,99 @@ def _run_tasks(fn, tasks: list, jobs: int) -> list:
         return list(pool.map(fn, tasks))
 
 
+# Word masks and PCG64's 128-bit LCG multiplier; numpy's SeedSequence
+# constants (INIT_A/MULT_A, INIT_B/MULT_B, MIX_MULT_L/MIX_MULT_R, a pool of
+# 4 words) appear where they are used.
+_U32 = np.uint32
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words(value) -> list[int]:
+    """A non-negative integer as little-endian 32-bit words; zero gives ``[0]``."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {value!r}")
+    value = int(value)
+    shifts = range(0, max(value.bit_length(), 1), 32)
+    return [value >> shift & _MASK32 for shift in shifts]
+
+
+def _hash_consts(const: int, mult: int):
+    """The (xor, multiplier) pairs of SeedSequence's successive word hashes."""
+    while True:
+        nxt = const * mult & _MASK32
+        yield _U32(const), _U32(nxt)
+        const = nxt
+
+
+def _hash(value: np.ndarray, consts) -> np.ndarray:
+    """SeedSequence's ``hashmix`` of uint32 words, with the next constants."""
+    xor, mult = next(consts)
+    value = (value ^ xor) * mult
+    return value ^ value >> _U32(16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``mix`` of uint32 words."""
+    out = _U32(0xCA01F9DD) * x - _U32(0x4973F715) * y
+    return out ^ out >> _U32(16)
+
+
+def _spawn_streams(entropy, count: int) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of ``default_rng(c)`` for each ``c`` in
+    ``SeedSequence(entropy).spawn(count)``, bit for bit.
+
+    ``entropy`` is a sequence of non-negative integers. SeedSequence's
+    entropy mixing and ``generate_state(4, uint64)`` run on uint32 arrays
+    of one word for the words every child shares, then of ``count`` words
+    once the child index is mixed in; PCG64's seeding (two LCG steps around
+    ``+= initstate``) runs in Python integers.
+    """
+    words = [np.array([w], _U32) for value in entropy for w in _words(value)]
+    # a spawned child pads its run entropy with zeros to the pool size
+    words += [np.zeros(1, _U32)] * (4 - len(words))
+    words.append(np.arange(count, dtype=_U32))
+    consts = _hash_consts(0x43B0D7E5, 0x931E8875)
+    pool = [_hash(w, consts) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], consts))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hash(word, consts))
+    # generate_state(4, uint64): 8 words, read as little-endian pairs
+    consts = _hash_consts(0x8B51F9DD, 0x58F38DED)
+    out = [_hash(pool[i % 4], consts).astype(np.uint64) for i in range(8)]
+    s0, s1, s2, s3 = (
+        (out[i] | out[i + 1] << np.uint64(32)).tolist() for i in range(0, 8, 2)
+    )
+    # PCG64: inc = (initseq << 1) | 1, then state = ((inc + initstate) * MULT + inc)
+    incs = [(c << 65 | d << 1 | 1) & _MASK128 for c, d in zip(s2, s3)]
+    return [
+        (((a << 64 | b) + inc) * _PCG64_MULT + inc & _MASK128, inc)
+        for a, b, inc in zip(s0, s1, incs)
+    ]
+
+
+def _reseed(rng: np.random.Generator, stream: tuple[int, int]) -> np.random.Generator:
+    """``rng``, a PCG64 generator, in the fresh state of one stream of
+    :func:`_spawn_streams`."""
+    state, inc = stream
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
+
 def _chunk_worker(task) -> np.ndarray:
-    dim, grid, seed_seq, count = task
-    return _sup_draws(dim, grid, np.random.default_rng(seed_seq), count)
+    dim, grid, stream, count = task
+    rng = _reseed(np.random.Generator(np.random.PCG64()), stream)
+    return _sup_draws(dim, grid, rng, count)
 
 
 @dataclass(frozen=True)
@@ -159,8 +250,8 @@ def critical_value(
 
     n_chunks = math.ceil(replications / _CHUNK)
     sizes = [_CHUNK] * (n_chunks - 1) + [replications - _CHUNK * (n_chunks - 1)]
-    seeds = np.random.SeedSequence(seed).spawn(n_chunks)
-    tasks = [(dim, grid, s, c) for s, c in zip(seeds, sizes)]
+    streams = _spawn_streams((seed,), n_chunks)
+    tasks = [(dim, grid, s, c) for s, c in zip(streams, sizes)]
 
     draws = np.sort(np.concatenate(_run_tasks(_chunk_worker, tasks, jobs)))
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import EstimationError, SingularCovariance
 from .estimator import _fit, _solve
-from .limits import _run_tasks, lookup_critical_value
+from .limits import _reseed, _run_tasks, _spawn_streams, lookup_critical_value
 from .models import MomentModel, _ill_conditioned, _mean_at, get_model
 from .zprocess import _floor_index, _statistic, _subtract_drift
 
@@ -168,20 +168,24 @@ class ExperimentResult:
 def _seed_blocks(seed: int, n: int, reps: int) -> list:
     """The seed streams of ``reps`` replications of length ``n``, in blocks.
 
-    The streams are spawned from ``SeedSequence([seed, n])``; each block
-    holds the streams of one ``(rows, n)`` block of samples.
+    Replication ``i`` is drawn from
+    ``default_rng(SeedSequence([seed, n]).spawn(reps)[i])``. The streams are
+    computed in array steps, as the PCG64 ``(state, inc)`` pairs of those
+    generators (plain integers, so a worker task pickles cheaply); each
+    block holds the streams of one ``(rows, n)`` block of samples.
     """
-    children = np.random.SeedSequence([seed, n]).spawn(reps)
+    streams = _spawn_streams((seed, n), reps)
     rows = max(1, min(_MC_CHUNK, _BLOCK_VALUES // n))
-    return [children[i : i + rows] for i in range(0, reps, rows)]
+    return [streams[i : i + rows] for i in range(0, reps, rows)]
 
 
-def _sample_block(model, theta0, theta1, ustar, n, seeds) -> np.ndarray:
-    """One sample per seed stream, as the rows of a ``(len(seeds), n)`` block.
+def _sample_block(model, theta0, theta1, ustar, n, streams) -> np.ndarray:
+    """One sample per seed stream, as the rows of a ``(len(streams), n)`` block.
 
     Without ``theta1`` a row is ``n`` draws under ``theta0``; with it, the
     first ``floor(ustar * n)`` draws are under ``theta0`` and the rest under
-    ``theta1``, from the same stream.
+    ``theta1``, from the same stream. One generator is reset to each stream
+    in turn.
     """
     theta0 = model.require(theta0)
     if theta1 is None:
@@ -189,9 +193,10 @@ def _sample_block(model, theta0, theta1, ustar, n, seeds) -> np.ndarray:
     else:
         theta1 = model.require(theta1)
         n_head = _floor_index(float(ustar), n)
-    block = np.empty((len(seeds), n))
-    for row, seed_seq in zip(block, seeds):
-        rng = np.random.default_rng(seed_seq)
+    block = np.empty((len(streams), n))
+    rng = np.random.Generator(np.random.PCG64())
+    for row, stream in zip(block, streams):
+        _reseed(rng, stream)
         row[:n_head] = model.sampler(theta0, rng, n_head)
         if theta1 is not None:
             row[n_head:] = model.sampler(theta1, rng, n - n_head)
@@ -199,9 +204,9 @@ def _sample_block(model, theta0, theta1, ustar, n, seeds) -> np.ndarray:
 
 
 def _run_chunk(task):
-    (model_name, theta0, theta1, ustar, n, seeds) = task
+    (model_name, theta0, theta1, ustar, n, streams) = task
     model = get_model(model_name)
-    rows = _statistic(_sample_block(model, theta0, theta1, ustar, n, seeds), model)
+    rows = _statistic(_sample_block(model, theta0, theta1, ustar, n, streams), model)
     failures = Counter(type(e).__name__ for e in rows.errors if e is not None)
     return rows.u_hats, rows.t_stats, failures
 
@@ -222,17 +227,19 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run ``config.m`` seeded replications and aggregate them.
 
-    Replication streams are spawned from ``SeedSequence([seed, n])``, so the
-    result is reproducible for a fixed config and identical for any ``jobs``
-    value. The critical value comes from ``table``, None for the packaged
-    table or the path of a table file, through
-    :func:`~momentcpt.limits.lookup_critical_value`.
+    Replication ``i`` is drawn from
+    ``default_rng(SeedSequence([seed, n]).spawn(m)[i])``, so any replication
+    can be replayed with public numpy; the streams themselves are computed
+    in array steps. The result is reproducible for a fixed config and
+    identical for any ``jobs`` value. The critical value comes from
+    ``table``, None for the packaged table or the path of a table file,
+    through :func:`~momentcpt.limits.lookup_critical_value`.
     """
     model = get_model(config.model)
     crit = lookup_critical_value(model.dim, config.level, table)
     tasks = [
-        (config.model, config.theta0, config.theta1, config.ustar, config.n, seeds)
-        for seeds in _seed_blocks(config.seed, config.n, config.m)
+        (config.model, config.theta0, config.theta1, config.ustar, config.n, streams)
+        for streams in _seed_blocks(config.seed, config.n, config.m)
     ]
     u_parts, t_parts, failure_parts = zip(*_run_tasks(_run_chunk, tasks, jobs))
     u_hats = np.concatenate(u_parts)
@@ -331,15 +338,26 @@ def alternative_oracle(
     theta0 = model.require(theta0)
     theta1 = model.require(theta1)
     mean0, mean1 = _mean_at(theta0, model), _mean_at(theta1, model)
-    mixed = ustar * mean0 + (1.0 - ustar) * mean1
+    at = (
+        f"theta0 = {theta0.tolist()}, theta1 = {theta1.tolist()} "
+        f"for model {model.name!r}"
+    )
+    # an overflow is reported below, by name
+    with np.errstate(all="ignore"):
+        mixed = ustar * mean0 + (1.0 - ustar) * mean1
+        mixed_sq = mixed @ mixed
+        sigma_star = ustar * np.asarray(model.cov(theta0), dtype=float) + (
+            1.0 - ustar
+        ) * np.asarray(model.cov(theta1), dtype=float)
+    if not np.isfinite(mixed_sq):
+        raise ValueError(f"the mixed moment vector {mixed.tolist()} overflows at {at}")
     errors = [None]
     theta_star = _solve(mixed[None], model, errors)[0][0]
     if errors[0] is not None:
         raise errors[0]
 
-    sigma_star = ustar * np.asarray(model.cov(theta0), dtype=float) + (
-        1.0 - ustar
-    ) * np.asarray(model.cov(theta1), dtype=float)
+    if not np.isfinite(sigma_star).all():
+        raise ValueError(f"the mixture covariance overflows at {at}")
     if _ill_conditioned(sigma_star):
         raise SingularCovariance(
             "mixture covariance of the alternative is singular"
@@ -426,16 +444,19 @@ def sup_zn_gap(
     Raises
     ------
     ValueError
-        If ``reps < 1`` or ``n < dim + 1``, before any sampling.
+        If ``reps`` is not a positive integer, ``n`` not an integer of at
+        least ``dim + 1`` or ``seed`` not a non-negative integer, before any
+        sampling.
     EstimationError
         If every replication fails.
     """
-    if reps < 1:
+    if not _is_integer(reps) or reps < 1:
         raise ValueError(f"reps must be a positive integer, got {reps!r}")
-    if n < model.dim + 1:
+    if not _is_integer(n) or n < model.dim + 1:
         raise ValueError(
             f"n: need at least {model.dim + 1} observations, got {n!r}"
         )
+    blocks = _seed_blocks(seed, n, reps)
     if theta1 is None:
         theta1 = theta0
     oracle = alternative_oracle(model, theta0, theta1, ustar)
@@ -443,8 +464,8 @@ def sup_zn_gap(
     drift = oracle.drift(ks / n)
     change = tuple(np.asarray(theta1, float)) != tuple(np.asarray(theta0, float))
     gaps = []
-    for seeds in _seed_blocks(seed, n, reps):
-        block = _sample_block(model, theta0, theta1 if change else None, ustar, n, seeds)
+    for streams in blocks:
+        block = _sample_block(model, theta0, theta1 if change else None, ustar, n, streams)
         fit = _fit(block, model)
         dist = np.linalg.norm(_subtract_drift(fit.sums, ks, fit.means) / n - drift, axis=2)
         gaps += [float(dist[i].max()) for i, e in enumerate(fit.errors) if e is None]

@@ -261,7 +261,8 @@ def t_path(
         If theta lies outside the domain of the model.
     ValueError
         If sigma is not a finite ``(dim, dim)`` array, the state was built
-        for a model of another dimension, or ``mean(theta)`` is not finite.
+        for a model of another dimension, or ``mean(theta)`` or the path is
+        not finite.
     SingularCovariance
         If the correlation matrix of sigma has condition number above 1e12.
     """
@@ -275,7 +276,15 @@ def t_path(
     if _ill_conditioned(sigma):
         raise SingularCovariance(_SINGULAR_SIGMA)
     sums = np.array(state.prefix[None], dtype=float)
-    return _path(sums, mean[None], np.linalg.cholesky(sigma)[None])[0]
+    # an overflow is reported below, by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        path = _path(sums, mean[None], np.linalg.cholesky(sigma)[None])[0]
+    if not np.isfinite(path).all():
+        raise ValueError(
+            f"the statistic path overflows at theta = "
+            f"{np.asarray(theta, dtype=float).tolist()} for model {model.name!r}"
+        )
+    return path
 
 
 @dataclass(frozen=True)

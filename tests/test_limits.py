@@ -17,7 +17,7 @@ from momentcpt import (
     simulate_bridge_sup,
     write_table_file,
 )
-from momentcpt.limits import rows_from_table
+from momentcpt.limits import _spawn_streams, rows_from_table
 
 # Closed forms for the one-dimensional law: the supremum of |bridge| has the
 # Kolmogorov distribution, so the squared supremum has mean pi^2 / 12 and
@@ -119,6 +119,35 @@ def test_invalid_arguments_raise():
         critical_value(1, [], replications=100, grid=10)
     with pytest.raises(ValueError):
         critical_value(1, 0.05, replications=1, grid=10)
+    for seed in (-1, 2.5):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            critical_value(1, 0.05, replications=100, grid=10, seed=seed)
+
+
+def test_seeded_table_is_pinned():
+    # three seed chunks; these are the values of SeedSequence(5).spawn(3)
+    table = critical_value(2, [0.1, 0.05, 0.01], replications=2500, grid=300, seed=5)
+    assert table.quantiles == {
+        0.1: 2.025371297200521,
+        0.05: 2.4060981343587238,
+        0.01: 3.226244769287099,
+    }
+    assert table.standard_errors == {
+        0.1: 0.03261033284505166,
+        0.05: 0.05073402094502999,
+        0.01: 0.13010114429952147,
+    }
+
+
+@pytest.mark.parametrize(
+    "seed", [0, 2**32 - 1, 2**64 + 3, 2**200 + 7], ids=["0", "2^32-1", "2^64+3", "2^200+7"]
+)
+def test_chunk_streams_match_numpy_spawn(seed):
+    states = [
+        np.random.default_rng(child).bit_generator.state["state"]
+        for child in np.random.SeedSequence(seed).spawn(3)
+    ]
+    assert _spawn_streams((seed,), 3) == [(s["state"], s["inc"]) for s in states]
 
 
 def test_table_file_round_trip(tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 from collections import Counter
@@ -30,6 +31,7 @@ from momentcpt import (
     lookup_critical_value,
     mme,
     normal_model,
+    poisson_model,
     run_experiment,
     run_test,
     sup_zn_convergence_check,
@@ -153,6 +155,16 @@ class TestAlternativeOracle:
         with pytest.raises(ValueError, match=r"mean\(theta\) is not finite .*1e\+150"):
             alternative_oracle(gamma_model(), (1e150, 1e-10), (1.0, 1.0), 0.5)
 
+    def test_names_a_mixed_moment_that_overflows(self):
+        # finite means (1e110, 1e220), but the solve's |mixed|^2 overflows
+        with pytest.raises(ValueError, match=r"mixed moment vector .* overflows .*1e-100.*'gamma'"):
+            alternative_oracle(gamma_model(), (1e10, 1e-100), (1.0, 1.0), 0.5)
+
+    def test_names_a_covariance_that_overflows(self):
+        # a finite mixed moment, but cov(theta1) holds 2 a (a + 1) (2 a + 3) / lam^4 = 6e310
+        with pytest.raises(ValueError, match=r"mixture covariance overflows .*1e-80.*'gamma'"):
+            alternative_oracle(gamma_model(), (1.0, 1.0), (1e-10, 1e-80), 0.5)
+
     def test_singular_mixture_covariance(self):
         flat = replace(exponential_model(), cov=lambda theta: np.zeros((1, 1)))
         with pytest.raises(SingularCovariance, match="mixture covariance"):
@@ -192,6 +204,8 @@ class TestRunExperiment:
         parallel = run_experiment(config, jobs=2)
         assert serial.rejection_rate == parallel.rejection_rate
         assert serial.n_failed == parallel.n_failed
+        assert np.array_equal(serial.t_stats, parallel.t_stats, equal_nan=True)
+        assert np.array_equal(serial.u_hats, parallel.u_hats, equal_nan=True)
         np.testing.assert_array_equal(
             serial.histogram_counts, parallel.histogram_counts
         )
@@ -343,6 +357,62 @@ def test_block_engine_matches_a_run_test_replay(name, monkeypatch):
         assert failures  # the failing rows are exercised
 
 
+def _numpy_streams(entropy, reps):
+    """The PCG64 ``(state, inc)`` of each spawned child, through public numpy."""
+    states = [
+        np.random.default_rng(child).bit_generator.state
+        for child in np.random.SeedSequence(entropy).spawn(reps)
+    ]
+    assert all(s["has_uint32"] == 0 and s["uinteger"] == 0 for s in states)
+    return [(s["state"]["state"], s["state"]["inc"]) for s in states]
+
+
+# one to seven 32-bit words; 2**200 + 7 spills past the 4-word entropy pool
+SCHEDULE_SEEDS = {"0": 0, "1": 1, "2^32-1": 2**32 - 1, "2^32": 2**32, "2^64+3": 2**64 + 3, "2^200+7": 2**200 + 7}
+
+
+@pytest.mark.parametrize("seed", SCHEDULE_SEEDS.values(), ids=SCHEDULE_SEEDS)
+@pytest.mark.parametrize("n,reps", [(1, 1), (8, 3), (500, 40), (2**33 + 1, 2)])
+def test_seed_schedule_matches_numpy_spawn(seed, n, reps):
+    blocks = montecarlo._seed_blocks(seed, n, reps)
+    assert [s for block in blocks for s in block] == _numpy_streams([seed, n], reps)
+
+
+SAMPLE_CASES = {
+    "gamma": (gamma_model(), (2.0, 1.0), (2.0, 0.5), 0.5),
+    "exponential": (exponential_model(), (1.0,), None, 0.5),
+    "normal": (normal_model(), (0.0, 1.0), (1.0, 2.0), 0.3),
+    "poisson": (poisson_model(), (3.0,), (4.0,), 0.75),
+    "bernoulli": (bernoulli_model(), (0.4,), None, 0.5),
+    "normal~affine": (_affine_normal(), (1.0, 2.0), (1.0, 4.0), 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_CASES))
+def test_sample_block_draws_what_each_spawned_generator_draws(name):
+    model, theta0, theta1, ustar = SAMPLE_CASES[name]
+    seed, n, reps = 2**64 + 3, 37, 9
+    (streams,) = montecarlo._seed_blocks(seed, n, reps)
+    block = montecarlo._sample_block(model, theta0, theta1, ustar, n, streams)
+    for row, child in zip(block, np.random.SeedSequence([seed, n]).spawn(reps)):
+        rng = np.random.default_rng(child)
+        expected = _reference_sample(model, theta0, theta1, ustar, n, rng)
+        np.testing.assert_array_equal(row, expected)
+
+
+def test_gamma_experiment_outputs_are_pinned():
+    config = ExperimentConfig(
+        model="gamma", theta0=(1.0, 0.01), theta1=(1.0, 0.05), ustar=0.75, n=500, m=2000, seed=1
+    )
+    result = run_experiment(config)
+
+    def digest(values):
+        return hashlib.sha256(values.tobytes()).hexdigest()
+
+    assert digest(result.t_stats) == "fc6cab9722044ed1419302608c779fe761d4d16c97cb7d213da56ff5d654b8ad"
+    assert digest(result.u_hats) == "685d127d38992e979e4e8ea9a0eaecb31e1cd9706e2b48b415586dc15ee0ff59"
+
+
 def test_closed_form_fits_take_one_call_per_block(monkeypatch):
     calls = Counter()
 
@@ -406,11 +476,17 @@ class TestDiagnostics:
 
     def test_sup_zn_gap_rejects_bad_arguments_before_sampling(self):
         e = exponential_model()
-        for reps in (0, -3):
+        for reps in (0, -3, 2.5):
             with pytest.raises(ValueError, match="reps"):
                 sup_zn_gap(e, (1.0,), n=50, reps=reps)
         with pytest.raises(ValueError, match="n: need at least 3 observations"):
             sup_zn_gap(gamma_model(), (1.0, 1.0), n=2, reps=5)
+        with pytest.raises(ValueError, match="n: need at least 2 observations"):
+            sup_zn_gap(e, (1.0,), n=50.5, reps=5)
+        unsampled = replace(e, sampler=lambda *args: pytest.fail("sampled"))
+        for seed in (-1, 2.5, True):
+            with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+                sup_zn_gap(unsampled, (1.0,), n=50, reps=5, seed=seed)
 
     def test_sup_zn_convergence_check_returns_per_n_values(self):
         config = make_config(

@@ -433,6 +433,14 @@ def test_pieces_name_a_theta_whose_mean_overflows():
         sigma_hat(x, (1e10, 1e-100), g)
 
 
+def test_t_path_names_a_path_that_overflows():
+    # a finite mean (1e110, 1e220) whose whitened drift overflows when squared
+    g = gamma_model()
+    state = build_state(np.random.default_rng(0).gamma(2.0, 1.0, 200), g)
+    with pytest.raises(ValueError, match=r"statistic path overflows .*1e-100.*'gamma'"):
+        t_path(state, (1e10, 1e-100), np.eye(2), g)
+
+
 def test_pieces_reject_a_state_built_for_another_model():
     x = np.random.default_rng(0).gamma(2.0, 1.0, 200)
     with pytest.raises(ValueError, match="state.dim = 2 .* model.dim = 1"):
