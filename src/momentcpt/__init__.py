@@ -47,7 +47,6 @@ from .montecarlo import (
     consistency_diagnostics,
     load_config,
     run_experiment,
-    sup_zn_convergence_check,
     sup_zn_gap,
 )
 from .zprocess import (
@@ -103,7 +102,6 @@ __all__ = [
     "run_test",
     "sigma_hat",
     "simulate_bridge_sup",
-    "sup_zn_convergence_check",
     "sup_zn_gap",
     "t_path",
     "write_table_file",

@@ -83,14 +83,18 @@ def newton_solve(target, model: MomentModel, theta_init) -> MMEResult:
         If no acceptable step exists or the iteration budget runs out.
     OutOfDomain
         If ``theta_init`` is outside the domain.
+    ValueError
+        If ``target`` holds a value that is not finite.
     """
     target = np.asarray(target, dtype=float)
+    if not np.isfinite(target).all():
+        raise ValueError(f"target {target.tolist()} is not finite")
     theta = model.require(theta_init).copy()
     lo, hi = _newton_box(model)
-    scale = 1.0 + float(np.linalg.norm(target))
+    scale = 1.0 + float(_norms(target[None])[0])
 
     residual = np.asarray(model.mean(theta), dtype=float) - target
-    res_norm = float(np.linalg.norm(residual))
+    res_norm = float(_norms(residual[None])[0])
     for iteration in range(_MAX_ITER):
         if res_norm <= _NEWTON_TOL * scale:
             return MMEResult(theta, res_norm, iteration, "newton")
@@ -106,7 +110,7 @@ def newton_solve(target, model: MomentModel, theta_init) -> MMEResult:
             candidate = theta - damping * step
             if np.all(candidate >= lo) and np.all(candidate <= hi):
                 cand_res = np.asarray(model.mean(candidate), dtype=float) - target
-                cand_norm = float(np.linalg.norm(cand_res))
+                cand_norm = float(_norms(cand_res[None])[0])
                 if cand_norm < res_norm:
                     theta, residual, res_norm = candidate, cand_res, cand_norm
                     accepted = True
@@ -226,9 +230,18 @@ def _norms(v: np.ndarray) -> np.ndarray:
 
     Each row is one dot product, the kernel that ``np.linalg.norm`` uses for
     a single vector, so a row's norm equals ``np.linalg.norm(row)`` bit for
-    bit (a reduction along ``axis=1`` rounds differently).
+    bit (a reduction along ``axis=1`` rounds differently). A finite row
+    whose sum of squares overflows is divided by its largest magnitude
+    first, so its norm is finite whenever it is representable.
     """
-    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
+    with np.errstate(over="ignore"):
+        out = np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
+    big = np.flatnonzero(np.isinf(out) & np.isfinite(v).all(axis=1))
+    if big.size:
+        scale = np.abs(v[big]).max(axis=1)
+        with np.errstate(over="ignore"):
+            out[big] = scale * _norms(v[big] / scale[:, None])
+    return out
 
 
 _DEGENERATE = (

@@ -50,6 +50,18 @@ _ROW_BATCH = 256
 _CHUNK = 1000
 
 
+def _is_integer(value) -> bool:
+    """An integer of any integral type, but not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _check_integer(name: str, value, low: int) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is an integer of
+    at least ``low``."""
+    if not _is_integer(value) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def _sup_draws(dim: int, grid: int, rng: np.random.Generator, count: int) -> np.ndarray:
     """`count` draws of sup_k ||bridge(k/grid)||^2 for one Brownian bridge."""
     out = np.empty(count)
@@ -77,12 +89,11 @@ def simulate_bridge_sup(dim: int, grid: int, rng: np.random.Generator, size=None
     Returns a float when ``size`` is None, else an array of ``size`` draws.
     ``grid == 1`` gives 0 exactly: the path is pinned at both ends.
     """
-    if dim < 1:
-        raise ValueError("dim must be a positive integer")
-    if grid < 1:
-        raise ValueError("grid must be a positive integer")
+    _check_integer("dim", dim, 1)
+    _check_integer("grid", grid, 1)
     if size is None:
         return float(_sup_draws(dim, grid, rng, 1)[0])
+    _check_integer("size", size, 0)
     return _sup_draws(dim, grid, rng, int(size))
 
 
@@ -110,7 +121,7 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 def _words(value) -> list[int]:
     """A non-negative integer as little-endian 32-bit words; zero gives ``[0]``."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
+    if not _is_integer(value) or value < 0:
         raise ValueError(f"seed must be a non-negative integer, got {value!r}")
     value = int(value)
     shifts = range(0, max(value.bit_length(), 1), 32)
@@ -235,10 +246,9 @@ def critical_value(
     jobs : int
         Worker processes; 1 runs in-process.
     """
-    if dim < 1 or grid < 1:
-        raise ValueError("dim and grid must be positive integers")
-    if replications < 2:
-        raise ValueError("need at least 2 replications")
+    _check_integer("dim", dim, 1)
+    _check_integer("replications", replications, 2)
+    _check_integer("grid", grid, 1)
     if isinstance(level, (int, float)):
         levels = (float(level),)
     else:
@@ -288,6 +298,7 @@ def _check_level(level) -> None:
 
 
 def _key(dim: int, level: float) -> tuple[int, float]:
+    _check_integer("dim", dim, 1)
     return int(dim), round(float(level), 10)
 
 
@@ -305,11 +316,25 @@ def rows_from_table(table: CriticalValueTable) -> dict[tuple[int, float], TableR
     }
 
 
+def _parse_row(fields: list[str]) -> tuple[tuple[int, float], TableRow]:
+    """The key and row of the 7 fields of one table line."""
+    dim, replications, grid, seed = (int(fields[i]) for i in (0, 4, 5, 6))
+    level, value, stderr = (float(fields[i]) for i in (1, 2, 3))
+    _check_level(level)
+    if not math.isfinite(value):
+        raise ValueError(f"value must be finite, got {value!r}")
+    return _key(dim, level), TableRow(value, stderr, replications, grid, seed)
+
+
 def read_table_file(path) -> dict[tuple[int, float], TableRow]:
     """Parse a critical-value table file.
 
     Rows are whitespace-separated ``dim level value stderr replications grid
-    seed``; blank lines and ``#`` comments are ignored.
+    seed``; blank lines and ``#`` comments are ignored. A row is rejected,
+    with a ``path: line N:`` message, unless its integer fields parse as
+    integers and the others as floats, ``dim >= 1``, ``level`` lies in
+    (0, 1), ``value`` is finite and no earlier row has the same
+    ``(dim, level)``.
     """
     rows: dict[tuple[int, float], TableRow] = {}
     text = Path(path).read_text()
@@ -318,18 +343,15 @@ def read_table_file(path) -> dict[tuple[int, float], TableRow]:
         if not line:
             continue
         fields = line.split()
-        if len(fields) != 7:
-            raise ValueError(
-                f"{path}: line {lineno}: expected 7 fields, got {len(fields)}"
-            )
-        dim, level = int(fields[0]), float(fields[1])
-        rows[_key(dim, level)] = TableRow(
-            value=float(fields[2]),
-            stderr=float(fields[3]),
-            replications=int(fields[4]),
-            grid_points=int(fields[5]),
-            seed=int(fields[6]),
-        )
+        try:
+            if len(fields) != 7:
+                raise ValueError(f"expected 7 fields, got {len(fields)}")
+            key, row = _parse_row(fields)
+            if key in rows:
+                raise ValueError(f"dim {key[0]}, level {key[1]:g} repeats an earlier row")
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        rows[key] = row
     return rows
 
 
@@ -358,11 +380,13 @@ def lookup_critical_value(dim: int, level: float, table=None) -> float:
     ``table`` is None for the packaged table or the path of a table file,
     as :func:`write_table_file` writes it. A value held in memory goes to
     :func:`~momentcpt.zprocess.run_test` as ``critical_value`` instead.
+    ``dim`` must be an integer of at least 1 and ``level`` lie in (0, 1).
     """
     _check_level(level)
+    key = _key(dim, level)
     rows = default_table() if table is None else read_table_file(table)
     try:
-        row = rows[_key(dim, level)]
+        row = rows[key]
     except KeyError:
         raise KeyError(
             f"no tabulated critical value for dim={dim}, level={level}; "
@@ -371,3 +395,20 @@ def lookup_critical_value(dim: int, level: float, table=None) -> float:
             f"library, table=FILE), or pass critical_value explicitly"
         ) from None
     return row.value
+
+
+def _threshold(dim: int, level: float, critical_value=None, table=None) -> float:
+    """The test's critical value: ``critical_value`` when given, else the
+    value for ``(dim, level)`` in ``table``, through
+    :func:`lookup_critical_value`.
+
+    The level must lie in (0, 1) either way, and the value must not be NaN;
+    ``inf`` is allowed and never rejects.
+    """
+    _check_level(level)
+    if critical_value is None:
+        critical_value = lookup_critical_value(dim, level, table)
+    critical_value = float(critical_value)
+    if math.isnan(critical_value):
+        raise ValueError("critical_value must not be NaN")
+    return critical_value

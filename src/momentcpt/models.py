@@ -443,36 +443,32 @@ def _matvec(mat: np.ndarray, v) -> np.ndarray:
 def affine_transform(model: MomentModel, a, b) -> MomentModel:
     """Model observing ``x`` through ``a @ psi(x) + b`` instead of ``psi(x)``.
 
-    ``a`` must be an invertible ``(dim, dim)`` matrix and ``b`` a ``(dim,)``
-    vector. Parameterization, domain and sampler are unchanged; only the
-    moment map and its derived quantities transform.
+    ``a`` must be a finite, invertible ``(dim, dim)`` matrix and ``b`` a
+    finite ``(dim,)`` vector. Parameterization, domain and sampler are
+    unchanged; only the moment map and its derived quantities transform.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != (model.dim, model.dim) or b.shape != (model.dim,):
         raise ValueError("transform shapes do not match the model dimension")
+    for name, value in (("a", a), ("b", b)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"transform {name} = {value.tolist()} is not finite")
     if _near_singular(a):
         raise ValueError("transform matrix is numerically singular")
     a_inv = np.linalg.inv(a)
 
-    base_psi = model.psi
-    base_mean = model.mean
-    base_jac = model.jacobian
-    base_cov = model.cov
-    base_inverse = model.inverse_mean
-    base_guess = model.init_guess
-
     def psi(x):
-        return base_psi(x) @ a.T + b
+        return model.psi(x) @ a.T + b
 
     def mean(theta):
-        return _matvec(a, base_mean(theta)) + b
+        return _matvec(a, model.mean(theta)) + b
 
     def jacobian(theta):
-        return a @ base_jac(theta)
+        return a @ model.jacobian(theta)
 
     def cov(theta):
-        return a @ base_cov(theta) @ a.T
+        return a @ model.cov(theta) @ a.T
 
     def pullback(fn):
         if fn is None:
@@ -492,6 +488,6 @@ def affine_transform(model: MomentModel, a, b) -> MomentModel:
         jacobian=jacobian,
         cov=cov,
         sampler=model.sampler,
-        inverse_mean=pullback(base_inverse),
-        init_guess=pullback(base_guess),
+        inverse_mean=pullback(model.inverse_mean),
+        init_guess=pullback(model.init_guess),
     )

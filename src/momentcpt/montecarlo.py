@@ -23,7 +23,14 @@ import numpy as np
 
 from .errors import EstimationError, SingularCovariance
 from .estimator import _fit, _solve
-from .limits import _reseed, _run_tasks, _spawn_streams, lookup_critical_value
+from .limits import (
+    _check_integer,
+    _is_integer,
+    _reseed,
+    _run_tasks,
+    _spawn_streams,
+    _threshold,
+)
 from .models import MomentModel, _ill_conditioned, _mean_at, get_model
 from .zprocess import _floor_index, _statistic, _subtract_drift
 
@@ -37,7 +44,6 @@ __all__ = [
     "alternative_oracle",
     "consistency_diagnostics",
     "sup_zn_gap",
-    "sup_zn_convergence_check",
     "load_config",
 ]
 
@@ -48,10 +54,6 @@ __all__ = [
 _MC_CHUNK = 250
 # Observations per block; long samples get fewer rows so memory stays bounded.
 _BLOCK_VALUES = 1 << 19
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _is_real(value) -> bool:
@@ -70,9 +72,12 @@ class ExperimentConfig:
     """One simulation experiment.
 
     ``theta1`` and ``ustar`` must be supplied together: replications then
-    draw ``floor(ustar * n)`` observations under ``theta0`` and the rest
-    under ``theta1``. Without them the sample is homogeneous and the
-    experiment measures test size instead of power.
+    draw their first ``k`` observations under ``theta0`` and the rest under
+    ``theta1``, with ``k = floor(ustar * n + 1e-9)``: the floor of
+    ``ustar * n``, except that a product within 1e-9 below an integer
+    counts as that integer, so ``ustar = 0.29, n = 100`` gives ``k = 29``
+    although ``0.29 * 100`` is ``28.999...``. Without them the sample is
+    homogeneous and the experiment measures test size instead of power.
 
     A config is valid once constructed: a bad value, an unknown model, a
     theta outside the model's domain or ``n < dim + 2`` raises a
@@ -183,9 +188,9 @@ def _sample_block(model, theta0, theta1, ustar, n, streams) -> np.ndarray:
     """One sample per seed stream, as the rows of a ``(len(streams), n)`` block.
 
     Without ``theta1`` a row is ``n`` draws under ``theta0``; with it, the
-    first ``floor(ustar * n)`` draws are under ``theta0`` and the rest under
-    ``theta1``, from the same stream. One generator is reset to each stream
-    in turn.
+    first ``floor(ustar * n + 1e-9)`` draws (see :class:`ExperimentConfig`)
+    are under ``theta0`` and the rest under ``theta1``, from the same
+    stream. One generator is reset to each stream in turn.
     """
     theta0 = model.require(theta0)
     if theta1 is None:
@@ -233,10 +238,10 @@ def run_experiment(
     in array steps. The result is reproducible for a fixed config and
     identical for any ``jobs`` value. The critical value comes from
     ``table``, None for the packaged table or the path of a table file,
-    through :func:`~momentcpt.limits.lookup_critical_value`.
+    and is checked as :func:`~momentcpt.zprocess.run_test` checks it.
     """
     model = get_model(config.model)
-    crit = lookup_critical_value(model.dim, config.level, table)
+    crit = _threshold(model.dim, config.level, table=table)
     tasks = [
         (config.model, config.theta0, config.theta1, config.ustar, config.n, streams)
         for streams in _seed_blocks(config.seed, config.n, config.m)
@@ -374,10 +379,19 @@ def alternative_oracle(
 
 @dataclass(frozen=True)
 class ConsistencyRow:
+    """The large-sample checks at one sample size ``n``.
+
+    ``bound`` is the oracle's detection bound, ``frac_above_half_bound``
+    the fraction of completed replications whose statistic reaches half of
+    it, ``median_abs_error`` the median of ``|u_hat - ustar|`` and
+    ``sup_gap`` the :func:`sup_zn_gap` between the process and its drift.
+    """
+
     n: int
     bound: float
     frac_above_half_bound: float
     median_abs_error: float
+    sup_gap: float
 
 
 @dataclass(frozen=True)
@@ -392,13 +406,16 @@ def consistency_diagnostics(
     jobs: int = 1,
     table=None,
 ) -> ConsistencyDiagnostics:
-    """Check the statistic's growth and the location error across n.
+    """Check the statistic's growth, the location error and the process's
+    distance from its drift across n.
 
-    For each sample size, reports the fraction of replications whose
-    statistic exceeds half the theoretical detection bound and the median
-    absolute location error. Requires a change experiment. ``jobs`` and
-    ``table`` (None or the path of a table file) are forwarded to
-    :func:`run_experiment`.
+    For each sample size, runs :func:`run_experiment` and
+    :func:`sup_zn_gap` with ``config.m`` replications and ``config.seed``,
+    and reports them as a :class:`ConsistencyRow`. When the model and the
+    alternative are specified correctly, the location error and the
+    sup-gap shrink toward zero as n grows and the fraction above half the
+    bound tends to one. Requires a change experiment. ``jobs`` and ``table`` (None or the
+    path of a table file) are forwarded to :func:`run_experiment`.
     """
     if not config.has_change:
         raise ValueError(
@@ -409,17 +426,25 @@ def consistency_diagnostics(
     oracle = alternative_oracle(model, config.theta0, config.theta1, config.ustar)
     rows = []
     for n in n_values:
-        result = run_experiment(replace(config, n=int(n)), jobs=jobs, table=table)
+        sized = replace(config, n=n)
+        result = run_experiment(sized, jobs=jobs, table=table)
         ok = ~np.isnan(result.u_hats)
-        bound = oracle.detection_bound(int(n))
-        frac = float(np.mean(result.t_stats[ok] >= 0.5 * bound))
-        median_err = float(np.median(np.abs(result.u_hats[ok] - config.ustar)))
+        bound = oracle.detection_bound(sized.n)
         rows.append(
             ConsistencyRow(
-                n=int(n),
+                n=sized.n,
                 bound=bound,
-                frac_above_half_bound=frac,
-                median_abs_error=median_err,
+                frac_above_half_bound=float(np.mean(result.t_stats[ok] >= 0.5 * bound)),
+                median_abs_error=float(np.median(np.abs(result.u_hats[ok] - config.ustar))),
+                sup_gap=sup_zn_gap(
+                    model,
+                    config.theta0,
+                    config.theta1,
+                    config.ustar,
+                    n=sized.n,
+                    reps=config.m,
+                    seed=config.seed,
+                ),
             )
         )
     return ConsistencyDiagnostics(oracle=oracle, rows=tuple(rows))
@@ -450,8 +475,7 @@ def sup_zn_gap(
     EstimationError
         If every replication fails.
     """
-    if not _is_integer(reps) or reps < 1:
-        raise ValueError(f"reps must be a positive integer, got {reps!r}")
+    _check_integer("reps", reps, 1)
     if not _is_integer(n) or n < model.dim + 1:
         raise ValueError(
             f"n: need at least {model.dim + 1} observations, got {n!r}"
@@ -472,37 +496,6 @@ def sup_zn_gap(
     if not gaps:
         raise EstimationError("all replications failed")
     return math.fsum(gaps) / len(gaps)
-
-
-def sup_zn_convergence_check(
-    config: ExperimentConfig, n_values: Sequence[int] = (100, 500, 2000)
-) -> dict[int, float]:
-    """Mean sup-gap between the observed process and its drift, per n.
-
-    Uses ``config.m`` replications at each sample size. Values shrink toward
-    zero as n grows when the model and the alternative are specified
-    correctly. Requires a change experiment; see :func:`sup_zn_gap` for the
-    no-change variant.
-    """
-    if not config.has_change:
-        raise ValueError(
-            "convergence check needs a change experiment; set 'theta1' and "
-            "'ustar' in the config (use sup_zn_gap directly for a stable "
-            "model)"
-        )
-    model = get_model(config.model)
-    return {
-        int(n): sup_zn_gap(
-            model,
-            config.theta0,
-            config.theta1,
-            config.ustar,
-            n=int(n),
-            reps=config.m,
-            seed=config.seed,
-        )
-        for n in n_values
-    }
 
 
 def load_config(path) -> list[ExperimentConfig]:

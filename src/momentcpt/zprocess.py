@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import SingularCovariance
 from .estimator import _as_sample, _fit, _moments
-from .limits import _check_level, lookup_critical_value
+from .limits import _threshold
 from .models import MomentModel, _ill_conditioned, _mean_at
 
 __all__ = [
@@ -361,12 +361,7 @@ def run_test(
         :func:`momentcpt.limits.write_table_file` writes it; forwarded to
         :func:`momentcpt.limits.lookup_critical_value`.
     """
-    _check_level(level)
-    if critical_value is None:
-        critical_value = lookup_critical_value(model.dim, level, table)
-    critical_value = float(critical_value)
-    if math.isnan(critical_value):
-        raise ValueError("critical_value must not be NaN")
+    critical_value = _threshold(model.dim, level, critical_value, table)
     return _report(data, model, level, critical_value)
 
 

@@ -37,7 +37,6 @@ from momentcpt import (
     model_names,
     run_experiment,
     run_test,
-    sup_zn_convergence_check,
     z_at,
 )
 
@@ -296,10 +295,9 @@ def test_criterion_10_consistency_diagnostics():
             m=300,
             seed=1010,
         )
-        gaps = sup_zn_convergence_check(config, n_values)
-        gap_seq = [gaps[n] for n in n_values]
-        gaps_ok = all(a > b for a, b in zip(gap_seq, gap_seq[1:]))
         diag = consistency_diagnostics(config, n_values)
+        gap_seq = [row.sup_gap for row in diag.rows]
+        gaps_ok = all(a > b for a, b in zip(gap_seq, gap_seq[1:]))
         med_seq = [row.median_abs_error for row in diag.rows]
         med_ok = all(a > b for a, b in zip(med_seq, med_seq[1:]))
         ok = ok and gaps_ok and med_ok

@@ -18,13 +18,15 @@ from momentcpt import (
     NoConvergence,
     OutOfDomain,
     SingularJacobian,
+    exponential_model,
     gamma_model,
     get_model,
     mme,
     newton_solve,
+    poisson_model,
 )
 
-from momentcpt.estimator import _fit, _solve
+from momentcpt.estimator import _fit, _norms, _solve
 
 from conftest import SAFE_THETA, positive_mean_normal
 
@@ -120,6 +122,54 @@ def test_estimating_equation_residual_bound_property(values):
     psi_bar = model.psi(data).mean(axis=0)
     gap = np.linalg.norm(model.mean(result.theta) - psi_bar)
     assert gap <= 1e-8 * (1.0 + np.linalg.norm(psi_bar))
+
+
+def test_solve_names_a_residual_above_its_bound():
+    # an inverse that misses by 0.1 %: the residual bound is what catches it
+    model = dataclasses.replace(
+        poisson_model(), inverse_mean=lambda m: np.asarray(m) * 1.001
+    )
+    with pytest.raises(
+        NoConvergence, match="estimating equation residual 3.225e-03 exceeds 4.225e-08"
+    ):
+        mme(np.random.default_rng(0).poisson(3, 200), model)
+
+
+def test_residual_bound_holds_where_the_sum_of_squares_overflows():
+    # |psi_bar| ~ 1e155: its square overflows, which made the bound inf and
+    # let any residual pass
+    data = 1e155 * (1.0 + 1e-10 * np.random.default_rng(0).standard_normal(100))
+    assert mme(data, exponential_model()).theta[0] > 0.0
+    model = dataclasses.replace(
+        exponential_model(), inverse_mean=lambda m: 1.0 / (1.001 * np.asarray(m))
+    )
+    with pytest.raises(NoConvergence, match="exceeds 1.000e\\+147"):
+        mme(data, model)
+
+
+def test_norms_are_finite_where_the_sum_of_squares_overflows():
+    rows = np.array(
+        [[3.0, 4.0], [3 * 2.0**700, 4 * 2.0**700], [-1e308, 1e308], [np.inf, 1.0], [np.nan, 1.0]]
+    )
+    out = _norms(rows)
+    assert out[0] == 5.0 and out[1] == 5 * 2.0**700
+    assert out[2] == np.sqrt(2.0) * 1e308
+    assert out[3] == np.inf and np.isnan(out[4])
+    # every row whose sum of squares is finite keeps np.linalg.norm's value
+    rng = np.random.default_rng(3)
+    for dim in (1, 2, 3):
+        v = rng.standard_normal((200, dim)) * 10.0 ** rng.integers(-100, 100, (200, 1))
+        assert _norms(v).tolist() == [np.linalg.norm(row) for row in v]
+
+
+def test_newton_norms_do_not_overflow_and_targets_must_be_finite():
+    # a huge target used to overflow its norm, and an infinite one made the
+    # tolerance inf, so the start was returned as converged
+    with pytest.raises(NoConvergence, match="residual 1.005e\\+301"):
+        newton_solve([1e300, 1e301], gamma_model(), (1.0, 1.0))
+    for bad in ([np.inf, 1.0], [np.nan, 1.0]):
+        with pytest.raises(ValueError, match=r"target \[(inf|nan), 1.0\] is not finite"):
+            newton_solve(bad, gamma_model(), (1.0, 1.0))
 
 
 def test_newton_solves_gamma_target():

@@ -68,6 +68,25 @@ def test_scalar_and_batch_apis():
         simulate_bridge_sup(1, 0, np.random.default_rng(3))
 
 
+def test_integer_arguments_are_named():
+    # these used to fail inside numpy, or (a bool) be taken as 1
+    rng = np.random.default_rng(3)
+    for name, kwargs in [
+        ("grid", dict(grid=2.5)),
+        ("dim", dict(dim=2.5)),
+        ("replications", dict(replications=2.5)),
+        ("replications", dict(replications=True)),
+    ]:
+        args = {**dict(dim=2, level=0.05, replications=10, grid=10), **kwargs}
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+            critical_value(**args)
+    with pytest.raises(ValueError, match="size must be an integer >= 0, got -1"):
+        simulate_bridge_sup(2, 10, rng, -1)
+    with pytest.raises(ValueError, match="grid must be an integer >= 1, got 2.5"):
+        simulate_bridge_sup(2, 2.5, rng)
+    assert simulate_bridge_sup(2, 10, rng, np.int64(0)).shape == (0,)
+
+
 def test_one_dimensional_mean_matches_closed_form():
     # 1e5 draws on the default grid; tolerance 2% absorbs the downward
     # discretization bias of a maximum over a finite grid.
@@ -168,6 +187,42 @@ def test_table_file_rejects_malformed_rows(tmp_path):
     path.write_text("2 0.05 2.4\n")
     with pytest.raises(ValueError, match="expected 7 fields"):
         read_table_file(path)
+
+
+GOOD_ROW = "2 0.05 2.4 0.01 100 10 1"
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ("2 0.05 2.4", "expected 7 fields, got 3"),
+        ("2 0.05 -inf 0.01 100 10 1", "value must be finite, got -inf"),
+        ("2 0.05 inf 0.01 100 10 1", "value must be finite, got inf"),
+        ("2 0.05 nan 0.01 100 10 1", "value must be finite, got nan"),
+        ("2 1.5 2.4 0.01 100 10 1", r"level must lie in \(0, 1\), got 1.5"),
+        ("2 0 2.4 0.01 100 10 1", r"level must lie in \(0, 1\), got 0.0"),
+        ("0 0.05 2.4 0.01 100 10 1", "dim must be an integer >= 1, got 0"),
+        ("abc 0.05 2.4 0.01 100 10 1", "'abc'"),
+        ("2.5 0.05 2.4 0.01 100 10 1", "'2.5'"),
+        ("2 0.05 2.4 0.01 100 ten 1", "'ten'"),
+        (GOOD_ROW.replace("2.4", "2.5"), "dim 2, level 0.05 repeats an earlier row"),
+    ],
+)
+def test_table_file_rows_are_checked_where_parsed(tmp_path, row, message):
+    # a -inf row used to make every sample reject, a repeated row to
+    # override the earlier one
+    path = tmp_path / "bad.txt"
+    path.write_text(f"# header\n{GOOD_ROW}\n\n{row}\n")
+    with pytest.raises(ValueError, match=f"^{path}: line 4: .*{message}"):
+        read_table_file(path)
+
+
+def test_lookup_takes_only_integer_dims():
+    # int() used to truncate 2.7 to the d=2 row and take True as d=1
+    for dim in (2.7, True, 0):
+        with pytest.raises(ValueError, match=f"dim must be an integer >= 1, got {dim}"):
+            lookup_critical_value(dim, 0.05)
+    assert lookup_critical_value(np.int64(2), 0.05) == default_table()[(2, 0.05)].value
 
 
 def test_packaged_table_covers_advertised_grid():

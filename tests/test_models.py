@@ -231,6 +231,13 @@ class TestAffineTransform:
         with pytest.raises(ValueError, match="shape"):
             affine_transform(gamma_model(), np.eye(3), np.zeros(3))
 
+    def test_rejects_values_that_are_not_finite_by_name(self):
+        # a NaN in a used to fail inside the SVD, one in b only at psi(data[0])
+        with pytest.raises(ValueError, match=r"transform a = \[\[1.0, 0.0\], \[0.0, nan\]\]"):
+            affine_transform(gamma_model(), [[1, 0], [0, np.nan]], [0, 0])
+        with pytest.raises(ValueError, match=r"transform b = \[0.0, inf\] is not finite"):
+            affine_transform(gamma_model(), np.eye(2), [0, np.inf])
+
 
 # Every model the estimator may see in blocks: the five families and an
 # affine view of one of them.

@@ -34,10 +34,9 @@ from momentcpt import (
     poisson_model,
     run_experiment,
     run_test,
-    sup_zn_convergence_check,
     sup_zn_gap,
 )
-from momentcpt import models, montecarlo
+from momentcpt import limits, models, montecarlo
 from momentcpt.montecarlo import _location_stats
 from momentcpt.zprocess import _floor_index
 
@@ -271,6 +270,35 @@ class TestRunExperiment:
         assert np.isnan(result.u_hats).sum() == result.n_failed
         assert result.histogram_counts.sum() == result.n_completed
 
+    def test_all_failed_replications_raise(self):
+        config = ExperimentConfig(model="bernoulli", theta0=(1e-9,), n=5, m=10)
+        with pytest.raises(
+            EstimationError,
+            match=r"all 10 replications failed: \{'DegenerateSample': 10\}",
+        ):
+            run_experiment(config)
+        with pytest.raises(EstimationError, match="all replications failed"):
+            sup_zn_gap(bernoulli_model(), (1e-9,), n=5, reps=10)
+
+    def test_critical_value_is_checked_as_run_test_checks_it(self, monkeypatch, tmp_path):
+        # a NaN table value used to give critical_value=nan and no rejection
+        config = make_config(m=5)
+        data = np.random.default_rng(0).gamma(1.0, 1.0, 60)
+        row = limits.TableRow(float("nan"), 0.0, 100, 10, 1)
+        monkeypatch.setattr(limits, "default_table", lambda: {(2, 0.05): row})
+        for call in (lambda: run_experiment(config), lambda: run_test(data, gamma_model())):
+            with pytest.raises(ValueError, match="critical_value must not be NaN"):
+                call()
+        monkeypatch.undo()
+        bad = tmp_path / "bad.txt"
+        bad.write_text("2 0.05 -inf 0.01 100 10 1\n")
+        for call in (
+            lambda: run_experiment(config, table=bad),
+            lambda: run_test(data, gamma_model(), table=bad),
+        ):
+            with pytest.raises(ValueError, match="line 1: value must be finite, got -inf"):
+                call()
+
 
 def _newton_gamma():
     return dataclasses.replace(
@@ -451,8 +479,6 @@ class TestDiagnostics:
     def test_consistency_needs_a_change_config(self):
         with pytest.raises(ValueError, match="change"):
             consistency_diagnostics(make_config())
-        with pytest.raises(ValueError, match="change"):
-            sup_zn_convergence_check(make_config())
 
     def test_consistency_rows_track_the_bound_and_the_location(self):
         # moderate shift: a huge one is located exactly even at n=100, which
@@ -488,7 +514,7 @@ class TestDiagnostics:
             with pytest.raises(ValueError, match="seed must be a non-negative integer"):
                 sup_zn_gap(unsampled, (1.0,), n=50, reps=5, seed=seed)
 
-    def test_sup_zn_convergence_check_returns_per_n_values(self):
+    def test_consistency_rows_carry_the_sup_gap(self):
         config = make_config(
             theta0=(1.0, 0.01),
             theta1=(1.0, 0.05),
@@ -497,10 +523,14 @@ class TestDiagnostics:
             m=25,
             seed=3,
         )
-        values = sup_zn_convergence_check(config, n_values=(100, 400))
-        assert set(values) == {100, 400}
-        assert all(v > 0.0 for v in values.values())
-        assert values[400] < values[100]
+        rows = consistency_diagnostics(config, n_values=(100, 400)).rows
+        assert [row.n for row in rows] == [100, 400]
+        assert all(row.sup_gap > 0.0 for row in rows)
+        assert rows[1].sup_gap < rows[0].sup_gap
+        # the gap of the config's alternative, replications and seed
+        assert rows[0].sup_gap == sup_zn_gap(
+            gamma_model(), (1.0, 0.01), (1.0, 0.05), 0.75, n=100, reps=25, seed=3
+        )
 
 
 class TestConfigFiles:
@@ -540,6 +570,9 @@ class TestConfigFiles:
             load_config(path)
         path.write_text("not json")
         with pytest.raises(ValueError, match="JSON"):
+            load_config(path)
+        path.write_text('[{"model": "gamma", "theta0": [1, 1], "n": 50, "m": 5}]')
+        with pytest.raises(ValueError, match="expected a JSON object"):
             load_config(path)
 
     @pytest.mark.parametrize(

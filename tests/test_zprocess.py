@@ -152,6 +152,16 @@ def test_nan_critical_value_is_rejected_by_name():
         run_test(data, g, critical_value=float("nan"))
 
 
+def test_data_far_from_zero_are_tested_without_an_overflow():
+    # the residual bound's |psi_bar|^2 overflowed here, with a RuntimeWarning
+    data = 1e155 * (1.0 + 1e-10 * np.random.default_rng(0).standard_normal(100))
+    report = run_test(data, exponential_model())
+    # the spread is 1e-10 of the level, so rounding moves T at about 1e-6
+    scaled = run_test(data / 1e155, exponential_model())
+    assert report.t_stat == pytest.approx(scaled.t_stat, rel=1e-4)
+    assert report.k_hat == scaled.k_hat
+
+
 def test_run_test_uses_packaged_table_by_default():
     g = gamma_model()
     rng = np.random.default_rng(303)
