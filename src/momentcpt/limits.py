@@ -12,7 +12,6 @@ other combination can be simulated on demand.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -106,6 +105,10 @@ def _run_tasks(fn, tasks: list, jobs: int) -> list:
     jobs = max(1, int(jobs))
     if jobs == 1 or len(tasks) == 1:
         return [fn(task) for task in tasks]
+    # imported here: the pool's module is a large part of the package's
+    # import time, and most runs never start a pool
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(fn, tasks))
 
@@ -323,6 +326,11 @@ def _parse_row(fields: list[str]) -> tuple[tuple[int, float], TableRow]:
     _check_level(level)
     if not math.isfinite(value):
         raise ValueError(f"value must be finite, got {value!r}")
+    if not (math.isfinite(stderr) and stderr >= 0.0):
+        raise ValueError(f"stderr must be finite and >= 0, got {stderr!r}")
+    _check_integer("replications", replications, 2)
+    _check_integer("grid", grid, 1)
+    _check_integer("seed", seed, 0)
     return _key(dim, level), TableRow(value, stderr, replications, grid, seed)
 
 
@@ -333,8 +341,9 @@ def read_table_file(path) -> dict[tuple[int, float], TableRow]:
     seed``; blank lines and ``#`` comments are ignored. A row is rejected,
     with a ``path: line N:`` message, unless its integer fields parse as
     integers and the others as floats, ``dim >= 1``, ``level`` lies in
-    (0, 1), ``value`` is finite and no earlier row has the same
-    ``(dim, level)``.
+    (0, 1), ``value`` is finite, ``stderr`` finite and non-negative,
+    ``replications >= 2`` (as :func:`critical_value` requires), ``grid >= 1``,
+    ``seed >= 0`` and no earlier row has the same ``(dim, level)``.
     """
     rows: dict[tuple[int, float], TableRow] = {}
     text = Path(path).read_text()

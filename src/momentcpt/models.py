@@ -99,7 +99,10 @@ def _psi_x(x):
 def _psi_x_x2(x):
     """psi(x) = (x, x^2)."""
     x = np.asarray(x, dtype=float)
-    return np.column_stack((x, x * x))
+    out = np.empty((len(x), 2))
+    out[:, 0] = x
+    np.multiply(x, x, out=out[:, 1])
+    return out
 
 
 def _identity(v):

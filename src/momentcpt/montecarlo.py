@@ -491,7 +491,7 @@ def sup_zn_gap(
     for streams in blocks:
         block = _sample_block(model, theta0, theta1 if change else None, ustar, n, streams)
         fit = _fit(block, model)
-        dist = np.linalg.norm(_subtract_drift(fit.sums, ks, fit.means) / n - drift, axis=2)
+        dist = np.linalg.norm(_subtract_drift(fit.sums.full(), ks, fit.means) / n - drift, axis=2)
         gaps += [float(dist[i].max()) for i, e in enumerate(fit.errors) if e is None]
     if not gaps:
         raise EstimationError("all replications failed")

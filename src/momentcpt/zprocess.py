@@ -20,13 +20,17 @@ together are the block fit that :func:`~momentcpt.estimator.mme` runs on
 one row; then the covariance ``S + r r'`` from the centred sample
 covariance ``S`` and the estimating equation residual
 ``r = psi_bar - mean(theta_hat)``, a Cholesky factor, and ``Z_n``
-whitened in place in the prefix-sum buffer. :func:`run_test` and
-:func:`detect` are its one-row case and the experiment harness feeds it
-whole blocks of replications; a row's results do not depend on the other
-rows. The public pieces :func:`build_state`, :func:`sigma_hat`,
-:func:`t_path` and :func:`z_at` wrap the same stages, so that
-``mme -> sigma_hat -> build_state -> t_path`` reproduces the path of
-:func:`run_test` bit for bit.
+whitened into the path. A sample of more than ``2**15`` observations is
+summed and whitened a chunk of indices ``k`` at a time in one chunk-sized
+buffer, the earlier chunks summed again from the moments, so a test holds
+the moments and one 8-byte path value per observation, not the full
+prefix sums beside them; each sum is the same in any chunk.
+:func:`run_test` and :func:`detect` are its one-row case and the
+experiment harness feeds it whole blocks of replications; a row's results
+do not depend on the other rows. The public pieces :func:`build_state`,
+:func:`sigma_hat`, :func:`t_path` and :func:`z_at` wrap the same stages,
+so that ``mme -> sigma_hat -> build_state -> t_path`` reproduces the path
+of :func:`run_test` bit for bit.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularCovariance
-from .estimator import _as_sample, _fit, _moments
+from .estimator import _as_sample, _copied_chunks, _fit, _moments
 from .limits import _threshold
 from .models import MomentModel, _ill_conditioned, _mean_at
 
@@ -95,26 +99,31 @@ def _plug_in(cov: np.ndarray, psi_bar: np.ndarray, means: np.ndarray) -> np.ndar
     return cov + r[:, :, None] * r[:, None, :]
 
 
-def _path(sums: np.ndarray, means: np.ndarray, chol: np.ndarray) -> np.ndarray:
-    """Statistic paths ``t[k] = n Z_n' sigma^{-1} Z_n`` from ``(m, n + 1, dim)`` prefix sums.
+def _path(chunks, means: np.ndarray, chol: np.ndarray, n: int) -> np.ndarray:
+    """Statistic paths ``t[k] = n Z_n' sigma^{-1} Z_n``, ``k = 0..n``, a chunk at a time.
 
-    Overwrites ``sums``: the drift is subtracted and each column whitened in
+    ``chunks`` yields ``(a, S)`` pairs that cover ``k = 0..n``, ``S`` the
+    ``(m, L, dim)`` raw prefix sums ``S_a..S_{a + L - 1}``, and each ``S``
+    is overwritten: the drift is subtracted and each column whitened in
     place by forward substitution with ``chol * sqrt(n)``, so the path is
     the sum of squares of the whitened columns.
     """
-    m, size, d = sums.shape
-    z = _subtract_drift(sums, np.arange(size, dtype=float), means)
-    chol = chol * math.sqrt(size - 1)
-    tmp = np.empty((m, size))
-    for j in range(d):
-        for i in range(j):
-            np.multiply(z[:, :, i], chol[:, j, i, None], out=tmp)
-            z[:, :, j] -= tmp
-        z[:, :, j] /= chol[:, j, j, None]
-    path = np.square(z[:, :, 0])
-    for j in range(1, d):
-        np.square(z[:, :, j], out=tmp)
-        path += tmp
+    path = np.empty((len(means), n + 1))
+    chol = chol * math.sqrt(n)
+    for a, z in chunks:
+        m, size, d = z.shape
+        _subtract_drift(z, np.arange(a, a + size, dtype=float), means)
+        tmp = np.empty((m, size))
+        for j in range(d):
+            for i in range(j):
+                np.multiply(z[:, :, i], chol[:, j, i, None], out=tmp)
+                z[:, :, j] -= tmp
+            z[:, :, j] /= chol[:, j, j, None]
+        out = path[:, a : a + size]
+        np.square(z[:, :, 0], out=out)
+        for j in range(1, d):
+            np.square(z[:, :, j], out=tmp)
+            out += tmp
     return path
 
 
@@ -155,7 +164,7 @@ def _statistic(block: np.ndarray, model: MomentModel) -> _Rows:
 
     ok = np.array([e is None for e in errors])
     whiten = np.where(ok[:, None, None], sigma, np.eye(model.dim))
-    paths = _path(fit.sums, fit.means, np.linalg.cholesky(whiten))
+    paths = _path(fit.sums.chunks(), fit.means, np.linalg.cholesky(whiten), n)
     k_hat = np.argmax(paths, axis=1)
     t_stats = np.where(ok, paths[np.arange(m), k_hat], np.nan)
     u_hats = np.where(ok, k_hat / n, np.nan)
@@ -176,7 +185,7 @@ def build_state(data, model: MomentModel) -> ZProcessState:
     sums, _, _, errors = _moments(data[None], model)
     if errors[0] is not None:
         raise errors[0]
-    return ZProcessState(n=data.shape[0], dim=model.dim, prefix=sums[0])
+    return ZProcessState(n=data.shape[0], dim=model.dim, prefix=sums.full()[0])
 
 
 def _state_mean(state: ZProcessState, theta, model: MomentModel) -> np.ndarray:
@@ -253,7 +262,8 @@ def t_path(
     Returns an array of length ``n + 1`` with ``t[0] == 0`` and, when theta
     solves the estimating equation, ``t[n] == 0`` up to the solver residual.
     Each entry is a sum of squares of the whitened process, so none is
-    negative.
+    negative. ``state.prefix`` is left alone: it is whitened a chunk at a
+    time in a chunk-sized copy, as :func:`run_test` whitens its sums.
 
     Raises
     ------
@@ -275,10 +285,10 @@ def t_path(
         )
     if _ill_conditioned(sigma):
         raise SingularCovariance(_SINGULAR_SIGMA)
-    sums = np.array(state.prefix[None], dtype=float)
+    chunks = _copied_chunks(np.asarray(state.prefix, dtype=float))
     # an overflow is reported below, by name
     with np.errstate(over="ignore", invalid="ignore"):
-        path = _path(sums, mean[None], np.linalg.cholesky(sigma)[None])[0]
+        path = _path(chunks, mean[None], np.linalg.cholesky(sigma)[None], state.n)[0]
     if not np.isfinite(path).all():
         raise ValueError(
             f"the statistic path overflows at theta = "

@@ -487,15 +487,34 @@ assert "scipy" not in sys.modules, "scipy was imported"
 """
 
 
-def test_library_and_cli_run_without_scipy():
-    # in a fresh interpreter: the test suite itself imports scipy
+NO_POOL = """
+import sys
+import momentcpt
+assert "concurrent.futures.process" not in sys.modules, "imported with the package"
+momentcpt.critical_value(2, 0.05, replications=200, grid=100, seed=1, jobs=1)
+assert "concurrent.futures.process" not in sys.modules, "imported by a run in-process"
+"""
+
+
+def _run_fresh(code: str) -> None:
+    """Run ``code`` in a fresh interpreter: the test suite's imports stay out."""
     src = str(Path(momentcpt.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY],
+        [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_library_and_cli_run_without_scipy():
+    # the test suite itself imports scipy
+    _run_fresh(NO_SCIPY)
+
+
+def test_the_process_pool_is_imported_only_for_workers():
+    # its module is a large part of the package's import time
+    _run_fresh(NO_POOL)

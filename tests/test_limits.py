@@ -205,6 +205,14 @@ GOOD_ROW = "2 0.05 2.4 0.01 100 10 1"
         ("abc 0.05 2.4 0.01 100 10 1", "'abc'"),
         ("2.5 0.05 2.4 0.01 100 10 1", "'2.5'"),
         ("2 0.05 2.4 0.01 100 ten 1", "'ten'"),
+        # the metadata that the CLI prints and write_table_file writes back
+        ("2 0.05 2.4 nan 100 10 1", "stderr must be finite and >= 0, got nan"),
+        ("2 0.05 2.4 inf 100 10 1", "stderr must be finite and >= 0, got inf"),
+        ("2 0.05 2.4 -0.01 100 10 1", "stderr must be finite and >= 0, got -0.01"),
+        ("2 0.05 2.4 0.01 -5 10 1", "replications must be an integer >= 2, got -5"),
+        ("2 0.05 2.4 0.01 1 10 1", "replications must be an integer >= 2, got 1"),
+        ("2 0.05 2.4 0.01 100 0 1", "grid must be an integer >= 1, got 0"),
+        ("2 0.05 2.4 0.01 100 10 -1", "seed must be an integer >= 0, got -1"),
         (GOOD_ROW.replace("2.4", "2.5"), "dim 2, level 0.05 repeats an earlier row"),
     ],
 )

@@ -36,7 +36,7 @@ from momentcpt import (
     run_test,
     sup_zn_gap,
 )
-from momentcpt import limits, models, montecarlo
+from momentcpt import estimator, limits, models, montecarlo
 from momentcpt.montecarlo import _location_stats
 from momentcpt.zprocess import _floor_index
 
@@ -640,3 +640,27 @@ def test_sup_zn_gap_evaluates_psi_once_per_block():
     model = replace(base, psi=psi)
     sup_zn_gap(model, (1.0,), n=100, reps=300, seed=1)
     assert calls["psi"] == 2  # blocks of 250 and 50 replications
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_chunked_stages_give_the_same_experiment(monkeypatch, chunk):
+    config = ExperimentConfig(
+        model="gamma", theta0=(1.0, 0.01), theta1=(1.0, 0.05), ustar=0.75, n=300, m=40, seed=1
+    )
+    base, theta0, theta1, ustar, n, reps, seed = GAP_CASES["gamma_change"]
+    calls = {"psi": 0}
+
+    def psi(x):
+        calls["psi"] += 1
+        return base.psi(x)
+
+    model = replace(base, psi=psi)
+    whole = run_experiment(config)
+    gap = sup_zn_gap(model, theta0, theta1, ustar, n=n, reps=reps, seed=seed)
+    monkeypatch.setattr(estimator, "_CHUNK", chunk)
+    chunked = run_experiment(config)
+    assert np.array_equal(chunked.t_stats, whole.t_stats, equal_nan=True)
+    assert np.array_equal(chunked.u_hats, whole.u_hats, equal_nan=True)
+    calls["psi"] = 0
+    assert sup_zn_gap(model, theta0, theta1, ustar, n=n, reps=reps, seed=seed) == gap
+    assert calls["psi"] == 1  # one block of 80 replications

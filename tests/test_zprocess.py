@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -26,6 +27,8 @@ from momentcpt import (
     t_path,
     z_at,
 )
+
+from momentcpt import estimator, zprocess
 
 from conftest import SAFE_THETA, brute_force_path
 
@@ -283,6 +286,83 @@ def test_composed_pieces_give_the_run_test_path_bit_for_bit(name, n):
     assert np.array_equal(path, report.t_path)
 
 
+def _outcome(model, data):
+    """What the test and its pieces give for one sample: arrays, or the error."""
+    try:
+        report = detect(data, model)
+        fit = mme(data, model)
+        sigma = sigma_hat(data, fit.theta, model)
+        state = build_state(data, model)
+        path = t_path(state, fit.theta, sigma, model)
+    except (ValueError, DegenerateSample) as exc:
+        return type(exc), str(exc)
+    # the composed pieces give the path of the core
+    assert np.array_equal(path, report.t_path)
+    assert np.array_equal(sigma, report.sigma_hat)
+    return report.t_path, report.sigma_hat, report.theta_hat, report.k_hat, state.prefix
+
+
+def _same(left, right):
+    assert len(left) == len(right)
+    for a, b in zip(left, right):
+        assert np.array_equal(a, b), (a, b)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize("name", sorted(COMPOSED_MODELS))
+@pytest.mark.parametrize("n", [7, 300])
+def test_chunked_stages_give_the_same_bits(monkeypatch, chunk, name, n):
+    model, theta = COMPOSED_MODELS[name]
+    data = model.sample(theta, np.random.default_rng(n), n)
+    whole = _outcome(model, data)
+    monkeypatch.setattr(estimator, "_CHUNK", chunk)
+    _same(_outcome(model, data), whole)
+
+
+def _failing_block():
+    """Rows that pass, then rows that fail at each check of the moment stage."""
+    block = np.random.default_rng(9).gamma(2.0, 1.0, size=(6, 100))
+    block[1, 50] = 1e200  # its square is not finite
+    block[2, 60:70] = 1e154  # finite squares whose sum overflows at S_62
+    block[3, 50] = 1e100  # moments up to 1e200, whose squares overflow
+    block[4] = 3.0  # degenerate
+    return block
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_chunked_stages_fail_a_row_as_a_whole_one_does(monkeypatch, chunk):
+    g = gamma_model()
+    block = _failing_block()
+    whole = [_outcome(g, row) for row in block]
+    rows = zprocess._statistic(block, g)
+    monkeypatch.setattr(estimator, "_CHUNK", chunk)
+    for row, expected in zip(block, whole):
+        _same(_outcome(g, row), expected)
+    chunked = zprocess._statistic(block, g)
+    assert [repr(e) for e in chunked.errors] == [repr(e) for e in rows.errors]
+    for field in ("theta", "sigma", "paths", "k_hat", "t_stats", "u_hats"):
+        assert np.array_equal(getattr(chunked, field), getattr(rows, field), equal_nan=True)
+    assert rows.errors[0] is None and rows.errors[5] is None
+    assert "psi(data[50]) is not finite" in str(rows.errors[1])
+    assert "sum of psi(data[:62]) overflows" in str(rows.errors[2])
+    assert "covariance of psi(data) overflows" in str(rows.errors[3])
+    assert isinstance(rows.errors[4], DegenerateSample)
+
+
+def test_run_test_holds_the_moments_and_one_row_per_observation():
+    # gamma moments are 16 B per observation and the path 8 B; the prefix
+    # sums are summed a chunk at a time, not held in full beside them
+    n = 2**18
+    data = np.random.default_rng(1).gamma(1.0, 100.0, n)
+    tracemalloc.start()
+    try:
+        run_test(data, gamma_model())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n < 32
+
+
 def _counting(model):
     calls = {"psi": 0}
 
@@ -301,6 +381,17 @@ def test_run_test_and_detect_evaluate_psi_once(name):
     assert calls["psi"] == 1
     detect(data, model)
     assert calls["psi"] == 2
+
+
+def test_chunked_stages_evaluate_psi_once(monkeypatch):
+    monkeypatch.setattr(estimator, "_CHUNK", 7)
+    model, calls = _counting(gamma_model())
+    data = model.sample(SAFE_THETA["gamma"], np.random.default_rng(8), 200)
+    run_test(data, model, critical_value=1.0)
+    assert calls["psi"] == 1
+    detect(data, model)
+    build_state(data, model)
+    assert calls["psi"] == 3
 
 
 @pytest.mark.parametrize("name", ["exponential", "gamma"])
