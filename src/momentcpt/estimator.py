@@ -151,115 +151,57 @@ def _not_finite(x: np.ndarray, moments: np.ndarray) -> ValueError:
     if bad.any():
         k = int(np.argmax(bad))
         return ValueError(f"psi(data[{k}]) is not finite (data[{k}] = {float(x[k])!r})")
-    # every moment is finite, so some partial sum overflows; S_k is the first
-    # (a sum that is not finite stays so, in one pass or chunk by chunk)
-    k = 1 + int(np.argmin(np.isfinite(np.cumsum(moments, axis=0)).all(axis=1)))
+    # every moment is finite, so a sum overflows: S_k, the first running sum
+    # that does (a sum that is not finite stays so), or else the pairwise sum
+    # over the whole sample
+    running = np.isfinite(np.cumsum(moments, axis=0)).all(axis=1)
+    if running.all():
+        k = int(np.argmax(np.abs(x)))
+        return ValueError(f"the sum of psi(data) overflows (data[{k}] = {float(x[k])!r})")
+    k = 1 + int(np.argmin(running))
     return ValueError(
         f"the sum of psi(data[:{k}]) overflows (data[{k - 1}] = {float(x[k - 1])!r})"
     )
 
 
-# Observations per chunk of the moment and path stages. A longer row is
-# summed, centred and whitened a chunk at a time, so its moments, one
-# product row and its path are its only arrays of full length; a shorter
-# row is a single chunk.
+# Observations per chunk of the path stage (``zprocess._path``): a longer
+# row is whitened and summed a chunk at a time into one chunk-sized buffer,
+# so its moments and its path are its only arrays of full length.
 _CHUNK = 1 << 15
 
 
-def _sum_chunk(moments: np.ndarray, a: int, b: int, start, out: np.ndarray) -> None:
-    """``S_a..S_b`` into ``out[:, :b - a + 1]`` from ``S_a = start`` and the raw moments.
+def _psi(block: np.ndarray, model: MomentModel) -> np.ndarray:
+    """The ``(m, n, dim)`` moments of an ``(m, n)`` block: one ``psi`` call.
 
-    The sums run in sequence, as one ``cumsum`` over the whole row does, so
-    each ``S_k`` is the same in whichever chunk it falls: while the chunk is
-    summed, ``psi_a`` is replaced by ``S_a + psi_a = S_{a + 1}``.
+    The result is C-contiguous and shares no memory with ``block``, so the
+    later stages may centre and whiten it in place.
     """
-    out[:, 0] = start
-    src, dst = moments[:, a:b], out[:, 1 : b - a + 1]
-    if moments.shape[2] % 2 == 0 and moments.flags.c_contiguous:
-        # complex addition is componentwise, so each pair of columns is
-        # summed in one pass with the same roundings as two real passes
-        src, dst = src.view(complex), dst.view(complex)
-    first = moments[:, a].copy()
-    if a:  # the first chunk is summed as it stands, from S_0 = 0
-        moments[:, a] += start
-    np.cumsum(src, axis=1, out=dst)
-    moments[:, a] = first
+    m, n = block.shape
+    # overflow is reported per row by _moments, by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments = np.asarray(model.psi(block.reshape(-1)), dtype=float)
+    if (
+        np.may_share_memory(moments, block)
+        or not moments.flags.writeable
+        or not moments.flags.c_contiguous
+    ):
+        moments = moments.copy()
+    return moments.reshape(m, n, model.dim)
 
 
-@dataclass(frozen=True)
-class _Sums:
-    """The raw prefix sums ``S_k`` of an ``(m, n)`` block, a chunk at a time.
-
-    Chunk ``c`` covers the observations ``[a, b)``, ``a = c * size``, and
-    the sums ``S_a..S_b``; ``starts[:, c]`` records its ``S_a``. ``buf``
-    holds the last chunk's sums, and ``moments`` the raw moments that the
-    earlier chunks are summed again from (None for a single chunk, whose
-    sums ``buf`` holds in full).
-    """
-
-    n: int
-    starts: np.ndarray
-    buf: np.ndarray
-    moments: np.ndarray | None
-
-    def chunks(self):
-        """``(a, S)`` per chunk, from the last: ``S`` holds the ``(m, L, dim)``
-        sums ``S_a..S_{a + L - 1}``, through ``S_n`` for the last chunk and
-        up to the next chunk's start for the others.
-
-        Every chunk is summed into ``buf``, so it holds until the next one
-        is drawn, and a record is walked once.
-        """
-        size = self.buf.shape[1] - 1
-        count = self.starts.shape[1]
-        a = (count - 1) * size
-        yield a, self.buf[:, : self.n - a + 1]
-        for c in range(count - 2, -1, -1):
-            a = c * size
-            _sum_chunk(self.moments, a, a + size, self.starts[:, c], self.buf)
-            yield a, self.buf[:, :size]
-
-    def full(self) -> np.ndarray:
-        """All the sums as one ``(m, n + 1, dim)`` array; walks the record."""
-        if self.moments is None:
-            return self.buf
-        m, _, d = self.buf.shape
-        out = np.empty((m, self.n + 1, d))
-        for a, sums in self.chunks():
-            out[:, a : a + sums.shape[1]] = sums
-        return out
-
-
-def _copied_chunks(prefix: np.ndarray):
-    """``(a, S)`` chunks of ``(n + 1, dim)`` prefix sums, as :meth:`_Sums.chunks`
-    yields them; each is a ``(1, L, dim)`` copy in one buffer."""
-    size = min(len(prefix), _CHUNK)
-    buf = np.empty((1, size, prefix.shape[1]))
-    for a in range(0, len(prefix), size):
-        chunk = buf[:, : len(prefix) - a]
-        chunk[0] = prefix[a : a + size]
-        yield a, chunk
-
-
-def _moments(block: np.ndarray, model: MomentModel):
+def _moments(block: np.ndarray, moments: np.ndarray, model: MomentModel):
     """The moment stage for every row of an ``(m, n)`` block of samples.
 
-    Makes one ``psi`` call and returns the raw prefix sums ``S_k`` (with
-    ``S_0 = 0``) as a :class:`_Sums` record, ``psi_bar = S_n / n`` and
-    the centred covariance ``(1/n) sum_k (psi_k - psi_bar)(psi_k -
-    psi_bar)'`` per row, and per row None or the ``ValueError`` that names
-    the first observation whose moments are not finite (or at which their
-    sum overflows), or the largest observation of a row whose covariance
-    overflows; such a row's moments, sums, ``psi_bar`` and covariance are
-    zeroed so that the later stages stay finite. Each prefix sum is a
-    sequential sum and each covariance entry a pairwise sum over one
-    contiguous row, so a row's values do not depend on the other rows of
-    the block, nor on the chunks.
-
-    A row of up to ``_CHUNK`` observations is one chunk: its moments are
-    centred in place, and its sums are kept whole. A longer row keeps only
-    the last chunk's sums; its earlier chunks are centred into chunk-sized
-    scratch, and the record sums them again from the raw moments.
+    ``moments`` are the block's moments from :func:`_psi`; they are centred
+    in place at ``psi_bar``, the pairwise sum of each column over the row
+    divided by ``n``, and returned with ``psi_bar``, the centred covariance
+    ``(1/n) sum_k (psi_k - psi_bar)(psi_k - psi_bar)'`` per row, and per row
+    None or the ``ValueError`` that names the first observation whose
+    moments are not finite (or the sum of them that overflows), or the
+    largest observation of a row whose covariance overflows; such a row's
+    moments, ``psi_bar`` and covariance are zeroed so that the later stages
+    stay finite. Each value is a sum over one row, so a row's values do not
+    depend on the other rows of the block.
 
     The row and column of a constant moment are exactly zero: ``psi_bar``
     carries the rounding of its sum, so centring would leave a spurious
@@ -267,33 +209,14 @@ def _moments(block: np.ndarray, model: MomentModel):
     A constant column has equal first and last entries, so only those
     columns get the full comparison.
     """
-    m, n = block.shape
-    d = model.dim
-    size = min(n, _CHUNK)
-    count = -(-n // size)
-    # allocated before psi's output, which is freed first: over a loop of
-    # blocks the heap then keeps its pages instead of returning them to the
-    # system and faulting them in again for every block
-    starts = np.zeros((m, count, d))
-    buf = np.empty((m, size + 1, d))
+    m, n, d = moments.shape
     # overflow is reported per row below, by name
     with np.errstate(over="ignore", invalid="ignore"):
-        moments = np.asarray(model.psi(block.reshape(-1)), dtype=float)
-        # the moments are centred in place below
-        if np.may_share_memory(moments, block) or not moments.flags.writeable:
-            moments = moments.copy()
-        moments = moments.reshape(m, n, d)
-        for c in range(count):
-            if c:
-                starts[:, c] = buf[:, size]
-            a = c * size
-            _sum_chunk(moments, a, min(a + size, n), starts[:, c], buf)
-        # a is now the start of the last chunk, whose sums buf keeps
-        psi_bar = buf[:, n - a] / n
+        psi_bar = np.stack([moments[:, :, j].sum(axis=1) for j in range(d)], axis=1) / n
         errors: list = [None] * m
         for i in np.flatnonzero(~np.isfinite(psi_bar).all(axis=1)):
             errors[i] = _not_finite(block[i], moments[i])
-            moments[i] = starts[i] = buf[i] = psi_bar[i] = 0.0
+            moments[i] = psi_bar[i] = 0.0
 
         maybe = moments[:, 0] == moments[:, -1]
         constant = np.zeros((m, d), dtype=bool)
@@ -302,19 +225,12 @@ def _moments(block: np.ndarray, model: MomentModel):
             if rows.size:
                 col = moments[:, :, j] if rows.size == m else moments[rows, :, j]
                 constant[rows, j] = (col == col[:, :1]).all(axis=1)
-            moments[:, a:, j] -= psi_bar[:, j, None]
+            moments[:, :, j] -= psi_bar[:, j, None]
         cov = np.empty((m, d, d))
         prod = np.empty((m, n))
-        scratch = np.empty((2, m, size)) if a else None
         for i in range(d):
             for j in range(i + 1):
-                for b in range(0, a, size):
-                    head = moments[:, b : b + size]
-                    x = y = np.subtract(head[:, :, i], psi_bar[:, i, None], out=scratch[0])
-                    if j < i:
-                        y = np.subtract(head[:, :, j], psi_bar[:, j, None], out=scratch[1])
-                    np.multiply(x, y, out=prod[:, b : b + size])
-                np.multiply(moments[:, a:, i], moments[:, a:, j], out=prod[:, a:])
+                np.multiply(moments[:, :, i], moments[:, :, j], out=prod)
                 cov[:, i, j] = cov[:, j, i] = prod.sum(axis=1) / n
         cov[constant[:, :, None] | constant[:, None, :]] = 0.0
     for i in np.flatnonzero(~np.isfinite(cov).all(axis=(1, 2))):
@@ -322,9 +238,8 @@ def _moments(block: np.ndarray, model: MomentModel):
         errors[i] = ValueError(
             f"the covariance of psi(data) overflows (data[{k}] = {float(block[i, k])!r})"
         )
-        moments[i] = starts[i] = buf[i] = psi_bar[i] = cov[i] = 0.0
-    sums = _Sums(n, starts, buf, moments if count > 1 else None)
-    return sums, psi_bar, cov, errors
+        moments[i] = psi_bar[i] = cov[i] = 0.0
+    return moments, psi_bar, cov, errors
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -416,16 +331,16 @@ def _solve(psi_bar: np.ndarray, model: MomentModel, errors: list):
 class _BlockFit:
     """The fit stage on each row of an ``(m, n)`` block of samples.
 
-    ``sums`` is the :class:`_Sums` record of the raw prefix sums,
-    ``psi_bar`` and ``cov`` the moment average and centred covariance per
-    row. ``theta``, ``means = mean(theta)``, ``residual`` and
-    ``iterations`` describe each row's fit; a failed row has NaN ``theta``
+    ``centred`` holds the ``(m, n, dim)`` moments centred at ``psi_bar``,
+    the moment average, and ``cov`` their covariance per row, as
+    :func:`_moments` gives them. ``theta``, ``means = mean(theta)``,
+    ``residual`` and ``iterations`` describe each row's fit; a failed row has NaN ``theta``
     and ``residual``, 0 iterations and ``means = psi_bar``, and
     ``errors[i]`` holds the error that :func:`mme` raises for that sample
     alone (None for a row that fit).
     """
 
-    sums: _Sums
+    centred: np.ndarray
     psi_bar: np.ndarray
     cov: np.ndarray
     theta: np.ndarray
@@ -435,19 +350,20 @@ class _BlockFit:
     errors: list
 
 
-def _fit(block: np.ndarray, model: MomentModel) -> _BlockFit:
+def _fit(block: np.ndarray, moments: np.ndarray, model: MomentModel) -> _BlockFit:
     """The moment estimate for every row of an ``(m, n)`` block of samples.
 
-    Runs the moment stage :func:`_moments`, checks each row's centred
-    covariance for degeneracy, then solves the rows that passed with
+    Runs the moment stage :func:`_moments` on the block's moments from
+    :func:`_psi`, checks each row's centred covariance for degeneracy,
+    then solves the rows that passed with
     :func:`_solve`, which gives a failed row its own error.
     """
-    sums, psi_bar, cov, errors = _moments(block, model)
+    centred, psi_bar, cov, errors = _moments(block, moments, model)
     for i in np.flatnonzero(_ill_conditioned(cov)):
         if errors[i] is None:
             errors[i] = DegenerateSample(_DEGENERATE)
     theta, means, residual, iterations = _solve(psi_bar, model, errors)
-    return _BlockFit(sums, psi_bar, cov, theta, means, residual, iterations, errors)
+    return _BlockFit(centred, psi_bar, cov, theta, means, residual, iterations, errors)
 
 
 def mme(data, model: MomentModel) -> MMEResult:
@@ -482,7 +398,7 @@ def mme(data, model: MomentModel) -> MMEResult:
         neither ``inverse_mean`` nor ``init_guess``.
     """
     data = _as_sample(data, model.dim + 1)
-    fit = _fit(data[None], model)
+    fit = _fit(data[None], _psi(data[None], model), model)
     if fit.errors[0] is not None:
         raise fit.errors[0]
     method = "newton" if model.inverse_mean is None else "closed_form"

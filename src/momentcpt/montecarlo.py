@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EstimationError, SingularCovariance
-from .estimator import _fit, _solve
+from .estimator import _fit, _norms, _psi, _solve
 from .limits import (
     _check_integer,
     _is_integer,
@@ -32,7 +32,7 @@ from .limits import (
     _threshold,
 )
 from .models import MomentModel, _ill_conditioned, _mean_at, get_model
-from .zprocess import _floor_index, _statistic, _subtract_drift
+from .zprocess import _floor_index, _statistic
 
 __all__ = [
     "ExperimentConfig",
@@ -320,13 +320,15 @@ class AlternativeOracle:
 
     def detection_bound(self, n: int) -> float:
         """Leading term of the statistic's growth under this alternative."""
-        gap_sq = float(self.mean_gap @ self.mean_gap)
+        # |gap| is multiplied in twice, not squared, so the bound is finite
+        # whenever it is representable
+        gap = float(_norms(self.mean_gap[None])[0])
         return (
             n
             * self.ustar**2
             * (1.0 - self.ustar) ** 2
-            * self.lambda_star
-            * gap_sq
+            * (self.lambda_star * gap)
+            * gap
         )
 
 
@@ -347,15 +349,12 @@ def alternative_oracle(
         f"theta0 = {theta0.tolist()}, theta1 = {theta1.tolist()} "
         f"for model {model.name!r}"
     )
+    mixed = ustar * mean0 + (1.0 - ustar) * mean1
     # an overflow is reported below, by name
     with np.errstate(all="ignore"):
-        mixed = ustar * mean0 + (1.0 - ustar) * mean1
-        mixed_sq = mixed @ mixed
         sigma_star = ustar * np.asarray(model.cov(theta0), dtype=float) + (
             1.0 - ustar
         ) * np.asarray(model.cov(theta1), dtype=float)
-    if not np.isfinite(mixed_sq):
-        raise ValueError(f"the mixed moment vector {mixed.tolist()} overflows at {at}")
     errors = [None]
     theta_star = _solve(mixed[None], model, errors)[0][0]
     if errors[0] is not None:
@@ -490,8 +489,19 @@ def sup_zn_gap(
     gaps = []
     for streams in blocks:
         block = _sample_block(model, theta0, theta1 if change else None, ustar, n, streams)
-        fit = _fit(block, model)
-        dist = np.linalg.norm(_subtract_drift(fit.sums.full(), ks, fit.means) / n - drift, axis=2)
+        moments = _psi(block, model)
+        prefix = np.zeros((len(block), n + 1, model.dim))
+        # the sums and the gap of a failed row, which is left out, may overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.cumsum(moments, axis=1, out=prefix[:, 1:])
+        fit = _fit(block, moments, model)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Z_n - drift in place: no second array of the sums' size
+            for j in range(model.dim):
+                prefix[:, :, j] -= ks * fit.means[:, j, None]
+            prefix /= n
+            prefix -= drift
+            dist = np.linalg.norm(prefix, axis=2)
         gaps += [float(dist[i].max()) for i, e in enumerate(fit.errors) if e is None]
     if not gaps:
         raise EstimationError("all replications failed")

@@ -14,23 +14,27 @@ the moments of the sample are not homogeneous in time; the maximizing index
 estimates the change location.
 
 One private core, ``_statistic``, computes the test for each row of an
-``(m, n)`` block of samples: one ``psi`` call, one pass of raw prefix sums
-``S_k`` (so ``psi_bar = S_n / n``) and the fit from ``psi_bar``, which
-together are the block fit that :func:`~momentcpt.estimator.mme` runs on
-one row; then the covariance ``S + r r'`` from the centred sample
-covariance ``S`` and the estimating equation residual
-``r = psi_bar - mean(theta_hat)``, a Cholesky factor, and ``Z_n``
-whitened into the path. A sample of more than ``2**15`` observations is
-summed and whitened a chunk of indices ``k`` at a time in one chunk-sized
-buffer, the earlier chunks summed again from the moments, so a test holds
-the moments and one 8-byte path value per observation, not the full
-prefix sums beside them; each sum is the same in any chunk.
+``(m, n)`` block of samples: one ``psi`` call, ``psi_bar`` as the pairwise
+sum of each moment over the row divided by ``n``, and the fit from
+``psi_bar``, which together are the block fit that
+:func:`~momentcpt.estimator.mme` runs on one row; then the covariance
+``S + r r'`` from the centred sample covariance ``S`` and the estimating
+equation residual ``r = psi_bar - mean(theta_hat)``, and a Cholesky
+factor. The path is summed from whitened increments: each
+``psi(X_k) - mean(theta_hat)`` is whitened before it is added, so no raw
+sum of moments has ``k * mean(theta_hat)`` subtracted from it, a step that
+cancels digits when the data sit far from zero. A sample of more than
+``2**15`` observations is summed a chunk of indices ``k`` at a time in one
+chunk-sized buffer, each chunk carrying the previous one's last sum, so a
+test holds the moments and one 8-byte path value per observation and every
+sum is the same in any chunk.
 :func:`run_test` and :func:`detect` are its one-row case and the
 experiment harness feeds it whole blocks of replications; a row's results
 do not depend on the other rows. The public pieces :func:`build_state`,
-:func:`sigma_hat`, :func:`t_path` and :func:`z_at` wrap the same stages,
-so that ``mme -> sigma_hat -> build_state -> t_path`` reproduces the path
-of :func:`run_test` bit for bit.
+:func:`sigma_hat`, :func:`t_path` and :func:`z_at` wrap the same stages:
+``mme -> sigma_hat`` reproduces the estimate and covariance of
+:func:`run_test` bit for bit, and ``build_state -> t_path`` its path to
+rounding, from the raw prefix sums of the state.
 """
 
 from __future__ import annotations
@@ -41,7 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularCovariance
-from .estimator import _as_sample, _copied_chunks, _fit, _moments
+from . import estimator
+from .estimator import _as_sample, _fit, _moments, _psi
 from .limits import _threshold
 from .models import MomentModel, _ill_conditioned, _mean_at
 
@@ -71,8 +76,9 @@ class ZProcessState:
     """Raw prefix sums of the moment map over one sample.
 
     ``prefix[k]`` holds ``S_k = sum_{j <= k} psi(X_j)``, not centred at any
-    theta; row 0 is zero and row n divided by n is the sample moment vector
-    that the estimate is fit to. ``prefix`` has shape ``(n + 1, dim)``.
+    theta; row 0 is zero and row n divided by n is the sample moment vector,
+    summed in sequence (the estimate is fit to its pairwise sum, which may
+    differ in the last bits). ``prefix`` has shape ``(n + 1, dim)``.
     """
 
     n: int
@@ -80,50 +86,67 @@ class ZProcessState:
     prefix: np.ndarray
 
 
-def _subtract_drift(sums: np.ndarray, ks: np.ndarray, means: np.ndarray) -> np.ndarray:
-    """In place: prefix sums ``S_k`` become ``n Z_n(k/n, theta) = S_k - k mean``.
-
-    ``sums`` is ``(m, K, dim)``, ``ks`` the ``K`` indices as floats and
-    ``means`` the ``(m, dim)`` values of ``mean(theta)`` per row.
-    """
-    tmp = np.empty(sums.shape[:2])
-    for j in range(sums.shape[2]):
-        np.multiply(ks, means[:, j, None], out=tmp)
-        sums[:, :, j] -= tmp
-    return sums
-
-
-def _plug_in(cov: np.ndarray, psi_bar: np.ndarray, means: np.ndarray) -> np.ndarray:
-    """``(1/n) sum_k (psi_k - mean)(psi_k - mean)'`` from the centred covariance."""
-    r = psi_bar - means
+def _plug_in(cov: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``(1/n) sum_k (psi_k - mean)(psi_k - mean)'`` from the centred covariance
+    and the residual ``r = psi_bar - mean``."""
     return cov + r[:, :, None] * r[:, None, :]
 
 
-def _path(chunks, means: np.ndarray, chol: np.ndarray, n: int) -> np.ndarray:
-    """Statistic paths ``t[k] = n Z_n' sigma^{-1} Z_n``, ``k = 0..n``, a chunk at a time.
+def _whiten(z: np.ndarray, chol: np.ndarray) -> None:
+    """In place: each ``dim``-vector of an ``(m, K, dim)`` array becomes
+    ``chol^{-1} z``, by forward substitution with the ``(m, dim, dim)``
+    lower factors ``chol``."""
+    tmp = np.empty(z.shape[:2])
+    for j in range(z.shape[2]):
+        for i in range(j):
+            np.multiply(z[:, :, i], chol[:, j, i, None], out=tmp)
+            z[:, :, j] -= tmp
+        z[:, :, j] /= chol[:, j, j, None]
 
-    ``chunks`` yields ``(a, S)`` pairs that cover ``k = 0..n``, ``S`` the
-    ``(m, L, dim)`` raw prefix sums ``S_a..S_{a + L - 1}``, and each ``S``
-    is overwritten: the drift is subtracted and each column whitened in
-    place by forward substitution with ``chol * sqrt(n)``, so the path is
-    the sum of squares of the whitened columns.
+
+def _squared_norms(z: np.ndarray, out: np.ndarray) -> None:
+    """``out[i, k] = |z[i, k]|^2`` for an ``(m, K, dim)`` array ``z``, which
+    is squared in place."""
+    np.square(z, out=z)
+    out[...] = z[:, :, 0]
+    for j in range(1, z.shape[2]):
+        out += z[:, :, j]
+
+
+def _path(centred: np.ndarray, r: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """Statistic paths ``t[k] = n Z_n' sigma^{-1} Z_n``, ``k = 0..n``, in one forward pass.
+
+    ``centred`` holds the ``(m, n, dim)`` moments centred at ``psi_bar``
+    and ``r = psi_bar - mean(theta)`` the residual per row, so that
+    ``centred + r`` are the increments ``psi_k - mean(theta)`` of ``n Z_n``.
+    Each increment is whitened in place by forward substitution with
+    ``chol * sqrt(n)``; then a chunk of them at a time, its first increment
+    carrying the previous chunk's last sum, is summed into one chunk-sized
+    buffer, whose squared norms are the path. Every sum is one sequential
+    sum, so the path does not depend on the chunk size.
     """
-    path = np.empty((len(means), n + 1))
+    m, n, d = centred.shape
+    size = min(n, estimator._CHUNK)
+    buf = np.empty((m, size, d))
+    path = np.empty((m, n + 1))
+    path[:, 0] = 0.0
     chol = chol * math.sqrt(n)
-    for a, z in chunks:
-        m, size, d = z.shape
-        _subtract_drift(z, np.arange(a, a + size, dtype=float), means)
-        tmp = np.empty((m, size))
+    for a in range(0, n, size):
+        w = centred[:, a : a + size]
+        sums = buf[:, : w.shape[1]]
         for j in range(d):
-            for i in range(j):
-                np.multiply(z[:, :, i], chol[:, j, i, None], out=tmp)
-                z[:, :, j] -= tmp
-            z[:, :, j] /= chol[:, j, j, None]
-        out = path[:, a : a + size]
-        np.square(z[:, :, 0], out=out)
-        for j in range(1, d):
-            np.square(z[:, :, j], out=tmp)
-            out += tmp
+            w[:, :, j] += r[:, j, None]
+        _whiten(w, chol)
+        if a:
+            w[:, 0] += last
+        src, dst = w, sums
+        if d % 2 == 0:
+            # complex addition is componentwise, so each pair of columns is
+            # summed in one pass with the same roundings as two real passes
+            src, dst = w.view(complex), sums.view(complex)
+        np.cumsum(src, axis=1, out=dst)
+        last = sums[:, -1].copy()
+        _squared_norms(sums, path[:, a + 1 : a + 1 + w.shape[1]])
     return path
 
 
@@ -155,16 +178,17 @@ def _statistic(block: np.ndarray, model: MomentModel) -> _Rows:
     the plug-in covariance.
     """
     m, n = block.shape
-    fit = _fit(block, model)
+    fit = _fit(block, _psi(block, model), model)
     errors = fit.errors
-    sigma = _plug_in(fit.cov, fit.psi_bar, fit.means)
+    r = fit.psi_bar - fit.means
+    sigma = _plug_in(fit.cov, r)
     for i in np.flatnonzero(_ill_conditioned(sigma)):
         if errors[i] is None:
             errors[i] = SingularCovariance(_SINGULAR_SIGMA)
 
     ok = np.array([e is None for e in errors])
     whiten = np.where(ok[:, None, None], sigma, np.eye(model.dim))
-    paths = _path(fit.sums.chunks(), fit.means, np.linalg.cholesky(whiten), n)
+    paths = _path(fit.centred, r, np.linalg.cholesky(whiten))
     k_hat = np.argmax(paths, axis=1)
     t_stats = np.where(ok, paths[np.arange(m), k_hat], np.nan)
     u_hats = np.where(ok, k_hat / n, np.nan)
@@ -182,10 +206,15 @@ def build_state(data, model: MomentModel) -> ZProcessState:
         are the samples that :func:`run_test` rejects with the same error.
     """
     data = _as_sample(data, 1)
-    sums, _, _, errors = _moments(data[None], model)
+    moments = _psi(data[None], model)
+    prefix = np.zeros((data.shape[0] + 1, model.dim))
+    # an overflow is reported by _moments, by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.cumsum(moments[0], axis=0, out=prefix[1:])
+    errors = _moments(data[None], moments, model)[3]
     if errors[0] is not None:
         raise errors[0]
-    return ZProcessState(n=data.shape[0], dim=model.dim, prefix=sums.full()[0])
+    return ZProcessState(n=data.shape[0], dim=model.dim, prefix=prefix)
 
 
 def _state_mean(state: ZProcessState, theta, model: MomentModel) -> np.ndarray:
@@ -238,12 +267,12 @@ def sigma_hat(data, theta, model: MomentModel) -> np.ndarray:
     """
     mean = _mean_at(theta, model)
     data = _as_sample(data, 1)
-    _, psi_bar, cov, errors = _moments(data[None], model)
+    _, psi_bar, cov, errors = _moments(data[None], _psi(data[None], model), model)
     if errors[0] is not None:
         raise errors[0]
     # an overflow is reported below, by name
     with np.errstate(over="ignore", invalid="ignore"):
-        sigma = _plug_in(cov, psi_bar, mean[None])
+        sigma = _plug_in(cov, psi_bar - mean[None])
     if not np.isfinite(sigma).all():
         raise ValueError(
             f"the plug-in covariance overflows at theta = "
@@ -262,8 +291,9 @@ def t_path(
     Returns an array of length ``n + 1`` with ``t[0] == 0`` and, when theta
     solves the estimating equation, ``t[n] == 0`` up to the solver residual.
     Each entry is a sum of squares of the whitened process, so none is
-    negative. ``state.prefix`` is left alone: it is whitened a chunk at a
-    time in a chunk-sized copy, as :func:`run_test` whitens its sums.
+    negative. The path is whitened from ``state.prefix - k * mean(theta)``,
+    so it agrees with the path of :func:`run_test`, which sums whitened
+    increments, to rounding.
 
     Raises
     ------
@@ -285,10 +315,13 @@ def t_path(
         )
     if _ill_conditioned(sigma):
         raise SingularCovariance(_SINGULAR_SIGMA)
-    chunks = _copied_chunks(np.asarray(state.prefix, dtype=float))
+    ks = np.arange(state.n + 1, dtype=float)
+    path = np.empty(state.n + 1)
     # an overflow is reported below, by name
     with np.errstate(over="ignore", invalid="ignore"):
-        path = _path(chunks, mean[None], np.linalg.cholesky(sigma)[None], state.n)[0]
+        z = np.asarray(state.prefix, dtype=float) - ks[:, None] * mean
+        _whiten(z[None], np.linalg.cholesky(sigma)[None] * math.sqrt(state.n))
+        _squared_norms(z[None], path[None])
     if not np.isfinite(path).all():
         raise ValueError(
             f"the statistic path overflows at theta = "

@@ -26,7 +26,7 @@ from momentcpt import (
     poisson_model,
 )
 
-from momentcpt.estimator import _fit, _norms, _solve
+from momentcpt.estimator import _fit, _norms, _psi, _solve
 
 from conftest import SAFE_THETA, positive_mean_normal
 
@@ -283,7 +283,7 @@ def test_an_exception_from_inverse_mean_propagates():
     model = dataclasses.replace(gamma_model(), inverse_mean=inverse_mean)
     block = np.random.default_rng(1).gamma(2.0, 1.0, size=(5, 50))
     with pytest.raises(OutOfDomain, match="refused"):
-        _fit(block, model)
+        _fit(block, _psi(block, model), model)
 
 
 # the normal restricted to mu > 0, solved in closed form and by Newton
@@ -298,7 +298,7 @@ def test_block_fit_gives_each_failed_row_its_own_error(how):
     # about a third of these samples have a non-positive mean and no fit
     model = FAILING_MODELS[how]()
     block = np.random.default_rng(4).normal(0.1, 1.0, size=(60, 30))
-    fit = _fit(block, model)
+    fit = _fit(block, _psi(block, model), model)
     failed = 0
     for row, theta, residual, error in zip(block, fit.theta, fit.residual, fit.errors):
         try:

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import warnings
 from collections import Counter
 from dataclasses import replace
 from importlib import resources
@@ -154,10 +155,17 @@ class TestAlternativeOracle:
         with pytest.raises(ValueError, match=r"mean\(theta\) is not finite .*1e\+150"):
             alternative_oracle(gamma_model(), (1e150, 1e-10), (1.0, 1.0), 0.5)
 
-    def test_names_a_mixed_moment_that_overflows(self):
-        # finite means (1e110, 1e220), but the solve's |mixed|^2 overflows
-        with pytest.raises(ValueError, match=r"mixed moment vector .* overflows .*1e-100.*'gamma'"):
-            alternative_oracle(gamma_model(), (1e10, 1e-100), (1.0, 1.0), 0.5)
+    def test_moments_whose_squares_overflow_are_served(self):
+        # |mixed|^2 and |gap|^2 overflow, but theta*, the drift and the bound
+        # are finite, as run_test is on moments of this size
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            oracle = alternative_oracle(poisson_model(), (1e155,), (2e155,), 0.5)
+            bound = oracle.detection_bound(100)
+            drift = oracle.drift(np.array([0.25, 0.5]))
+        np.testing.assert_allclose(oracle.theta_star, [1.5e155], rtol=1e-12)
+        np.testing.assert_allclose(drift, [[-1.25e154], [-2.5e154]], rtol=1e-12)
+        np.testing.assert_allclose(bound, 100 * 0.0625 * (1e155 / 1.5e155) * 1e155, rtol=1e-12)
 
     def test_names_a_covariance_that_overflows(self):
         # a finite mixed moment, but cov(theta1) holds 2 a (a + 1) (2 a + 3) / lam^4 = 6e310
@@ -437,7 +445,7 @@ def test_gamma_experiment_outputs_are_pinned():
     def digest(values):
         return hashlib.sha256(values.tobytes()).hexdigest()
 
-    assert digest(result.t_stats) == "fc6cab9722044ed1419302608c779fe761d4d16c97cb7d213da56ff5d654b8ad"
+    assert digest(result.t_stats) == "1455aff6f43e0b1d46901c2326deb746c8134ce1389d8c70000999d095d60423"
     assert digest(result.u_hats) == "685d127d38992e979e4e8ea9a0eaecb31e1cd9706e2b48b415586dc15ee0ff59"
 
 

@@ -283,7 +283,13 @@ def test_composed_pieces_give_the_run_test_path_bit_for_bit(name, n):
     path = t_path(build_state(data, model), fit.theta, sigma, model)
     assert np.array_equal(fit.theta, report.theta_hat)
     assert np.array_equal(sigma, report.sigma_hat)
-    assert np.array_equal(path, report.t_path)
+    # t_path whitens the raw prefix sums, the core sums whitened increments
+    assert _within_rounding(path, report.t_path)
+
+
+def _within_rounding(path, core):
+    """The composed path is the core path to within 1e-12 max(1, T)."""
+    return np.abs(path - core).max() <= 1e-12 * max(1.0, core.max())
 
 
 def _outcome(model, data):
@@ -296,8 +302,8 @@ def _outcome(model, data):
         path = t_path(state, fit.theta, sigma, model)
     except (ValueError, DegenerateSample) as exc:
         return type(exc), str(exc)
-    # the composed pieces give the path of the core
-    assert np.array_equal(path, report.t_path)
+    # the composed pieces give the covariance and, to rounding, the path of the core
+    assert _within_rounding(path, report.t_path)
     assert np.array_equal(sigma, report.sigma_hat)
     return report.t_path, report.sigma_hat, report.theta_hat, report.k_hat, state.prefix
 
@@ -350,8 +356,8 @@ def test_chunked_stages_fail_a_row_as_a_whole_one_does(monkeypatch, chunk):
 
 
 def test_run_test_holds_the_moments_and_one_row_per_observation():
-    # gamma moments are 16 B per observation and the path 8 B; the prefix
-    # sums are summed a chunk at a time, not held in full beside them
+    # gamma moments are 16 B per observation and the path 8 B; the whitened
+    # increments are summed a chunk at a time, not held in full beside them
     n = 2**18
     data = np.random.default_rng(1).gamma(1.0, 100.0, n)
     tracemalloc.start()
@@ -515,6 +521,27 @@ def test_a_sum_of_moments_that_overflows_is_named():
         detect(data, gamma_model())
 
 
+def test_a_pairwise_sum_that_overflows_is_named():
+    # no running sum overflows (they are 1e308 and 0), but the pairwise sum
+    # adds 1e308 to 1e308; the message names the largest observation
+    x = np.zeros(16)
+    x[[0, 8]] = 1e308
+    x[[1, 9]] = -1e308
+    model = exponential_model()
+    calls = [
+        lambda: run_test(x, model, critical_value=1.0),
+        lambda: detect(x, model),
+        lambda: mme(x, model),
+        lambda: build_state(x, model),
+        lambda: sigma_hat(x, (1.0,), model),
+    ]
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"the sum of psi\(data\) overflows \(data\[0\] = 1e\+308\)"):
+                call()
+
+
 def test_pieces_name_a_theta_whose_mean_overflows():
     # (1e150, 1e-10) lies inside gamma's domain, but alpha^2 / lam^2 = 1e320
     g = gamma_model()
@@ -548,6 +575,28 @@ def test_pieces_reject_a_state_built_for_another_model():
         z_at(build_state(x, gamma_model()), 0.5, (1.0,), exponential_model())
     with pytest.raises(ValueError, match="state.dim = 1 .* model.dim = 2"):
         t_path(build_state(x, exponential_model()), (2.0, 1.0), np.eye(2), gamma_model())
+
+
+def _long_double_path(data, theta, sigma, model):
+    """The path of normal data at theta and sigma, summed in long double."""
+    x = np.asarray(data, dtype=np.longdouble)
+    mean = np.asarray(model.mean(theta), dtype=np.longdouble)
+    z = np.cumsum(np.stack((x - mean[0], x * x - mean[1]), axis=1), axis=0)
+    (a, b), (_, c) = np.asarray(sigma, dtype=np.longdouble)
+    quad = (c * z[:, 0] ** 2 - 2 * b * z[:, 0] * z[:, 1] + a * z[:, 1] ** 2) / (a * c - b * b)
+    return np.concatenate(([0.0], (quad / len(x)).astype(float)))
+
+
+def test_a_long_sample_far_from_zero_keeps_its_path():
+    # four chunks of normal data at 3000 with a small shift at n/2: the raw
+    # sums of x^2 reach 1e12, and subtracting k mean(theta) from them cancels
+    n = 2**17
+    x = np.random.default_rng(11).standard_normal(n) + 3000.0
+    x[n // 2 :] += 0.02
+    model = normal_model()
+    report = detect(x, model)
+    ref = _long_double_path(x, report.theta_hat, report.sigma_hat, model)
+    assert np.abs(report.t_path - ref).max() / report.t_stat <= 1e-8
 
 
 # In (x, x^2) coordinates the covariances of these samples have condition
