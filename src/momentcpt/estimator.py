@@ -164,12 +164,6 @@ def _not_finite(x: np.ndarray, moments: np.ndarray) -> ValueError:
     )
 
 
-# Observations per chunk of the path stage (``zprocess._path``): a longer
-# row is whitened and summed a chunk at a time into one chunk-sized buffer,
-# so its moments and its path are its only arrays of full length.
-_CHUNK = 1 << 15
-
-
 def _psi(block: np.ndarray, model: MomentModel) -> np.ndarray:
     """The ``(m, n, dim)`` moments of an ``(m, n)`` block: one ``psi`` call.
 
@@ -187,6 +181,18 @@ def _psi(block: np.ndarray, model: MomentModel) -> np.ndarray:
     ):
         moments = moments.copy()
     return moments.reshape(m, n, model.dim)
+
+
+def _prefix(moments: np.ndarray) -> np.ndarray:
+    """The ``(m, n + 1, dim)`` raw prefix sums ``S_k = psi_1 + ... + psi_k``
+    (``S_0 = 0``) of the moments from :func:`_psi`, taken before :func:`_fit`
+    centres them."""
+    m, n, d = moments.shape
+    prefix = np.zeros((m, n + 1, d))
+    # an overflow is reported by _moments, by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.cumsum(moments, axis=1, out=prefix[:, 1:])
+    return prefix
 
 
 def _moments(block: np.ndarray, moments: np.ndarray, model: MomentModel):

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EstimationError, SingularCovariance
-from .estimator import _fit, _norms, _psi, _solve
+from .estimator import _fit, _norms, _prefix, _psi, _solve
 from .limits import (
     _check_integer,
     _is_integer,
@@ -490,11 +490,9 @@ def sup_zn_gap(
     for streams in blocks:
         block = _sample_block(model, theta0, theta1 if change else None, ustar, n, streams)
         moments = _psi(block, model)
-        prefix = np.zeros((len(block), n + 1, model.dim))
-        # the sums and the gap of a failed row, which is left out, may overflow
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.cumsum(moments, axis=1, out=prefix[:, 1:])
+        prefix = _prefix(moments)
         fit = _fit(block, moments, model)
+        # the gap of a failed row, which is left out, may overflow
         with np.errstate(over="ignore", invalid="ignore"):
             # Z_n - drift in place: no second array of the sums' size
             for j in range(model.dim):

@@ -32,9 +32,9 @@ sum is the same in any chunk.
 experiment harness feeds it whole blocks of replications; a row's results
 do not depend on the other rows. The public pieces :func:`build_state`,
 :func:`sigma_hat`, :func:`t_path` and :func:`z_at` wrap the same stages:
-``mme -> sigma_hat`` reproduces the estimate and covariance of
-:func:`run_test` bit for bit, and ``build_state -> t_path`` its path to
-rounding, from the raw prefix sums of the state.
+``mme -> sigma_hat -> build_state -> t_path`` reproduces the estimate,
+covariance and path of :func:`run_test` bit for bit, as the state keeps the
+centred moments that the path stage sums.
 """
 
 from __future__ import annotations
@@ -45,8 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularCovariance
-from . import estimator
-from .estimator import _as_sample, _fit, _moments, _psi
+from .estimator import _as_sample, _fit, _moments, _prefix, _psi
 from .limits import _threshold
 from .models import MomentModel, _ill_conditioned, _mean_at
 
@@ -63,6 +62,11 @@ __all__ = [
 
 _SINGULAR_SIGMA = "plug-in covariance of psi(X) is numerically singular"
 
+# Observations per chunk of the path stage: a longer row is whitened and
+# summed a chunk at a time into one chunk-sized buffer, so its moments and
+# its path are its only arrays of full length.
+_CHUNK = 1 << 15
+
 
 def _floor_index(u: float, n: int) -> int:
     # floor(u*n) with a guard against products like 0.29*100 = 28.999...996;
@@ -73,17 +77,23 @@ def _floor_index(u: float, n: int) -> int:
 
 @dataclass(frozen=True)
 class ZProcessState:
-    """Raw prefix sums of the moment map over one sample.
+    """Raw prefix sums and centred moments of the moment map over one sample.
 
     ``prefix[k]`` holds ``S_k = sum_{j <= k} psi(X_j)``, not centred at any
     theta; row 0 is zero and row n divided by n is the sample moment vector,
-    summed in sequence (the estimate is fit to its pairwise sum, which may
-    differ in the last bits). ``prefix`` has shape ``(n + 1, dim)``.
+    summed in sequence. ``psi_bar`` is that vector as the estimate is fit to
+    it, the pairwise sum of each moment divided by n (it may differ from
+    ``prefix[n] / n`` in the last bits), and ``centred[k - 1]`` holds
+    ``psi(X_k) - psi_bar``, the moments that :func:`t_path` sums as
+    :func:`run_test` does. ``prefix`` has shape ``(n + 1, dim)``,
+    ``centred`` ``(n, dim)`` and ``psi_bar`` ``(dim,)``.
     """
 
     n: int
     dim: int
     prefix: np.ndarray
+    centred: np.ndarray
+    psi_bar: np.ndarray
 
 
 def _plug_in(cov: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -123,16 +133,19 @@ def _path(centred: np.ndarray, r: np.ndarray, chol: np.ndarray) -> np.ndarray:
     ``chol * sqrt(n)``; then a chunk of them at a time, its first increment
     carrying the previous chunk's last sum, is summed into one chunk-sized
     buffer, whose squared norms are the path. Every sum is one sequential
-    sum, so the path does not depend on the chunk size.
+    sum, so the path does not depend on the chunk size. A read-only
+    ``centred`` is left as it is: each chunk is copied before it is whitened.
     """
     m, n, d = centred.shape
-    size = min(n, estimator._CHUNK)
+    size = min(n, _CHUNK)
     buf = np.empty((m, size, d))
     path = np.empty((m, n + 1))
     path[:, 0] = 0.0
     chol = chol * math.sqrt(n)
     for a in range(0, n, size):
         w = centred[:, a : a + size]
+        if not w.flags.writeable:
+            w = w.copy()
         sums = buf[:, : w.shape[1]]
         for j in range(d):
             w[:, :, j] += r[:, j, None]
@@ -207,14 +220,11 @@ def build_state(data, model: MomentModel) -> ZProcessState:
     """
     data = _as_sample(data, 1)
     moments = _psi(data[None], model)
-    prefix = np.zeros((data.shape[0] + 1, model.dim))
-    # an overflow is reported by _moments, by name
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.cumsum(moments[0], axis=0, out=prefix[1:])
-    errors = _moments(data[None], moments, model)[3]
+    prefix = _prefix(moments)
+    centred, psi_bar, _, errors = _moments(data[None], moments, model)
     if errors[0] is not None:
         raise errors[0]
-    return ZProcessState(n=data.shape[0], dim=model.dim, prefix=prefix)
+    return ZProcessState(data.shape[0], model.dim, prefix[0], centred[0], psi_bar[0])
 
 
 def _state_mean(state: ZProcessState, theta, model: MomentModel) -> np.ndarray:
@@ -291,9 +301,9 @@ def t_path(
     Returns an array of length ``n + 1`` with ``t[0] == 0`` and, when theta
     solves the estimating equation, ``t[n] == 0`` up to the solver residual.
     Each entry is a sum of squares of the whitened process, so none is
-    negative. The path is whitened from ``state.prefix - k * mean(theta)``,
-    so it agrees with the path of :func:`run_test`, which sums whitened
-    increments, to rounding.
+    negative. The path is summed from the whitened increments
+    ``state.centred + state.psi_bar - mean(theta)`` a chunk at a time, as
+    :func:`run_test` sums it, and the state is left as it is.
 
     Raises
     ------
@@ -315,13 +325,12 @@ def t_path(
         )
     if _ill_conditioned(sigma):
         raise SingularCovariance(_SINGULAR_SIGMA)
-    ks = np.arange(state.n + 1, dtype=float)
-    path = np.empty(state.n + 1)
+    centred = state.centred[None]
+    centred.flags.writeable = False  # a view: _path copies it a chunk at a time
+    r = state.psi_bar - mean
     # an overflow is reported below, by name
     with np.errstate(over="ignore", invalid="ignore"):
-        z = np.asarray(state.prefix, dtype=float) - ks[:, None] * mean
-        _whiten(z[None], np.linalg.cholesky(sigma)[None] * math.sqrt(state.n))
-        _squared_norms(z[None], path[None])
+        path = _path(centred, r[None], np.linalg.cholesky(sigma)[None])[0]
     if not np.isfinite(path).all():
         raise ValueError(
             f"the statistic path overflows at theta = "

@@ -37,7 +37,7 @@ from momentcpt import (
     run_test,
     sup_zn_gap,
 )
-from momentcpt import estimator, limits, models, montecarlo
+from momentcpt import limits, models, montecarlo, zprocess
 from momentcpt.montecarlo import _location_stats
 from momentcpt.zprocess import _floor_index
 
@@ -665,7 +665,7 @@ def test_chunked_stages_give_the_same_experiment(monkeypatch, chunk):
     model = replace(base, psi=psi)
     whole = run_experiment(config)
     gap = sup_zn_gap(model, theta0, theta1, ustar, n=n, reps=reps, seed=seed)
-    monkeypatch.setattr(estimator, "_CHUNK", chunk)
+    monkeypatch.setattr(zprocess, "_CHUNK", chunk)
     chunked = run_experiment(config)
     assert np.array_equal(chunked.t_stats, whole.t_stats, equal_nan=True)
     assert np.array_equal(chunked.u_hats, whole.u_hats, equal_nan=True)

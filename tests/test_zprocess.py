@@ -28,7 +28,7 @@ from momentcpt import (
     z_at,
 )
 
-from momentcpt import estimator, zprocess
+from momentcpt import zprocess
 
 from conftest import SAFE_THETA, brute_force_path
 
@@ -283,13 +283,23 @@ def test_composed_pieces_give_the_run_test_path_bit_for_bit(name, n):
     path = t_path(build_state(data, model), fit.theta, sigma, model)
     assert np.array_equal(fit.theta, report.theta_hat)
     assert np.array_equal(sigma, report.sigma_hat)
-    # t_path whitens the raw prefix sums, the core sums whitened increments
-    assert _within_rounding(path, report.t_path)
+    assert np.array_equal(path, report.t_path)
 
 
-def _within_rounding(path, core):
-    """The composed path is the core path to within 1e-12 max(1, T)."""
-    return np.abs(path - core).max() <= 1e-12 * max(1.0, core.max())
+@pytest.mark.parametrize("chunk", [7, 1 << 15])
+def test_t_path_leaves_the_state_as_it_is(monkeypatch, chunk):
+    # the state's centred moments are summed a chunk at a time, from copies
+    monkeypatch.setattr(zprocess, "_CHUNK", chunk)
+    model = gamma_model()
+    data = model.sample((2.0, 1.0), np.random.default_rng(5), 100)
+    state = build_state(data, model)
+    centred = state.centred.copy()
+    fit = mme(data, model)
+    sigma = sigma_hat(data, fit.theta, model)
+    first = t_path(state, fit.theta, sigma, model)
+    assert np.array_equal(state.centred, centred)
+    assert state.centred.flags.writeable
+    assert np.array_equal(t_path(state, fit.theta, sigma, model), first)
 
 
 def _outcome(model, data):
@@ -302,8 +312,8 @@ def _outcome(model, data):
         path = t_path(state, fit.theta, sigma, model)
     except (ValueError, DegenerateSample) as exc:
         return type(exc), str(exc)
-    # the composed pieces give the covariance and, to rounding, the path of the core
-    assert _within_rounding(path, report.t_path)
+    # the composed pieces give the path of the core
+    assert np.array_equal(path, report.t_path)
     assert np.array_equal(sigma, report.sigma_hat)
     return report.t_path, report.sigma_hat, report.theta_hat, report.k_hat, state.prefix
 
@@ -321,7 +331,7 @@ def test_chunked_stages_give_the_same_bits(monkeypatch, chunk, name, n):
     model, theta = COMPOSED_MODELS[name]
     data = model.sample(theta, np.random.default_rng(n), n)
     whole = _outcome(model, data)
-    monkeypatch.setattr(estimator, "_CHUNK", chunk)
+    monkeypatch.setattr(zprocess, "_CHUNK", chunk)
     _same(_outcome(model, data), whole)
 
 
@@ -341,7 +351,7 @@ def test_chunked_stages_fail_a_row_as_a_whole_one_does(monkeypatch, chunk):
     block = _failing_block()
     whole = [_outcome(g, row) for row in block]
     rows = zprocess._statistic(block, g)
-    monkeypatch.setattr(estimator, "_CHUNK", chunk)
+    monkeypatch.setattr(zprocess, "_CHUNK", chunk)
     for row, expected in zip(block, whole):
         _same(_outcome(g, row), expected)
     chunked = zprocess._statistic(block, g)
@@ -390,7 +400,7 @@ def test_run_test_and_detect_evaluate_psi_once(name):
 
 
 def test_chunked_stages_evaluate_psi_once(monkeypatch):
-    monkeypatch.setattr(estimator, "_CHUNK", 7)
+    monkeypatch.setattr(zprocess, "_CHUNK", 7)
     model, calls = _counting(gamma_model())
     data = model.sample(SAFE_THETA["gamma"], np.random.default_rng(8), 200)
     run_test(data, model, critical_value=1.0)
