@@ -183,6 +183,23 @@ def _psi(block: np.ndarray, model: MomentModel) -> np.ndarray:
     return moments.reshape(m, n, model.dim)
 
 
+def _empty(work: dict | None, name: str, shape: tuple) -> np.ndarray:
+    """An uninitialised float array of ``shape``, fresh or from a workspace.
+
+    A workspace ``work`` is a dict that the blocks of one experiment task
+    share: the array is then a C-contiguous view of the front of its buffer
+    ``name``, which is allocated only when a request is larger than every
+    earlier one, so blocks after a task's first, largest one allocate no
+    such array. The view holds what the last user of ``name`` left there.
+    """
+    if work is None:
+        return np.empty(shape)
+    size = math.prod(shape)
+    if name not in work or work[name].size < size:
+        work[name] = np.empty(size)
+    return work[name][:size].reshape(shape)
+
+
 def _prefix(moments: np.ndarray) -> np.ndarray:
     """The ``(m, n + 1, dim)`` raw prefix sums ``S_k = psi_1 + ... + psi_k``
     (``S_0 = 0``) of the moments from :func:`_psi`, taken before :func:`_fit`
@@ -195,7 +212,9 @@ def _prefix(moments: np.ndarray) -> np.ndarray:
     return prefix
 
 
-def _moments(block: np.ndarray, moments: np.ndarray, model: MomentModel):
+def _moments(
+    block: np.ndarray, moments: np.ndarray, model: MomentModel, work: dict | None = None
+):
     """The moment stage for every row of an ``(m, n)`` block of samples.
 
     ``moments`` are the block's moments from :func:`_psi`; they are centred
@@ -207,7 +226,9 @@ def _moments(block: np.ndarray, moments: np.ndarray, model: MomentModel):
     largest observation of a row whose covariance overflows; such a row's
     moments, ``psi_bar`` and covariance are zeroed so that the later stages
     stay finite. Each value is a sum over one row, so a row's values do not
-    depend on the other rows of the block.
+    depend on the other rows of the block. The ``(m, n)`` product row that
+    the covariance is summed from comes from the workspace ``work`` (the
+    buffer ``"row"``, see :func:`_empty`), or is allocated without one.
 
     The row and column of a constant moment are exactly zero: ``psi_bar``
     carries the rounding of its sum, so centring would leave a spurious
@@ -233,7 +254,7 @@ def _moments(block: np.ndarray, moments: np.ndarray, model: MomentModel):
                 constant[rows, j] = (col == col[:, :1]).all(axis=1)
             moments[:, :, j] -= psi_bar[:, j, None]
         cov = np.empty((m, d, d))
-        prod = np.empty((m, n))
+        prod = _empty(work, "row", (m, n))
         for i in range(d):
             for j in range(i + 1):
                 np.multiply(moments[:, :, i], moments[:, :, j], out=prod)
@@ -356,15 +377,17 @@ class _BlockFit:
     errors: list
 
 
-def _fit(block: np.ndarray, moments: np.ndarray, model: MomentModel) -> _BlockFit:
+def _fit(
+    block: np.ndarray, moments: np.ndarray, model: MomentModel, work: dict | None = None
+) -> _BlockFit:
     """The moment estimate for every row of an ``(m, n)`` block of samples.
 
     Runs the moment stage :func:`_moments` on the block's moments from
-    :func:`_psi`, checks each row's centred covariance for degeneracy,
-    then solves the rows that passed with
-    :func:`_solve`, which gives a failed row its own error.
+    :func:`_psi`, with the workspace ``work`` if one is given, checks each
+    row's centred covariance for degeneracy, then solves the rows that
+    passed with :func:`_solve`, which gives a failed row its own error.
     """
-    centred, psi_bar, cov, errors = _moments(block, moments, model)
+    centred, psi_bar, cov, errors = _moments(block, moments, model, work)
     for i in np.flatnonzero(_ill_conditioned(cov)):
         if errors[i] is None:
             errors[i] = DegenerateSample(_DEGENERATE)

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EstimationError, SingularCovariance
-from .estimator import _fit, _norms, _prefix, _psi, _solve
+from .estimator import _empty, _fit, _norms, _prefix, _psi, _solve
 from .limits import (
     _check_integer,
     _is_integer,
@@ -47,10 +47,9 @@ __all__ = [
     "load_config",
 ]
 
-# Replications per block handed to the statistic core, and per worker task.
-# Each replication has its own seed stream and is tested independently of
-# the other rows, so aggregates depend neither on the block size nor on
-# `jobs`.
+# Replications per block handed to the statistic core. Each replication has
+# its own seed stream and is tested independently of the other rows, so
+# aggregates depend neither on the block size nor on `jobs`.
 _MC_CHUNK = 250
 # Observations per block; long samples get fewer rows so memory stays bounded.
 _BLOCK_VALUES = 1 << 19
@@ -184,13 +183,14 @@ def _seed_blocks(seed: int, n: int, reps: int) -> list:
     return [streams[i : i + rows] for i in range(0, reps, rows)]
 
 
-def _sample_block(model, theta0, theta1, ustar, n, streams) -> np.ndarray:
+def _sample_block(model, theta0, theta1, ustar, n, streams, rng, work) -> np.ndarray:
     """One sample per seed stream, as the rows of a ``(len(streams), n)`` block.
 
     Without ``theta1`` a row is ``n`` draws under ``theta0``; with it, the
     first ``floor(ustar * n + 1e-9)`` draws (see :class:`ExperimentConfig`)
     are under ``theta0`` and the rest under ``theta1``, from the same
-    stream. One generator is reset to each stream in turn.
+    stream. ``rng``, a PCG64 generator, is reset to each stream in turn.
+    The block is the workspace ``work``'s buffer ``"block"``.
     """
     theta0 = model.require(theta0)
     if theta1 is None:
@@ -198,8 +198,7 @@ def _sample_block(model, theta0, theta1, ustar, n, streams) -> np.ndarray:
     else:
         theta1 = model.require(theta1)
         n_head = _floor_index(float(ustar), n)
-    block = np.empty((len(streams), n))
-    rng = np.random.Generator(np.random.PCG64())
+    block = _empty(work, "block", (len(streams), n))
     for row, stream in zip(block, streams):
         _reseed(rng, stream)
         row[:n_head] = model.sampler(theta0, rng, n_head)
@@ -209,11 +208,25 @@ def _sample_block(model, theta0, theta1, ustar, n, streams) -> np.ndarray:
 
 
 def _run_chunk(task):
-    (model_name, theta0, theta1, ustar, n, streams) = task
+    """Test the blocks of one worker task; ``(u_hats, t_stats, failures)`` per block.
+
+    Every block of the task is drawn with one generator and tested in one
+    workspace (see :func:`~momentcpt.estimator._empty`), which supplies the
+    ``(rows, n)`` sample block, the ``(rows, n)`` row buffer of the moment
+    and whitening stages, the path stage's chunk buffer and the
+    ``(rows, n + 1)`` path, so a task holds one block's arrays however many
+    blocks it has. The returned arrays are not in the workspace.
+    """
+    (model_name, theta0, theta1, ustar, n, blocks) = task
     model = get_model(model_name)
-    rows = _statistic(_sample_block(model, theta0, theta1, ustar, n, streams), model)
-    failures = Counter(type(e).__name__ for e in rows.errors if e is not None)
-    return rows.u_hats, rows.t_stats, failures
+    rng, work = np.random.Generator(np.random.PCG64()), {}
+    out = []
+    for streams in blocks:
+        block = _sample_block(model, theta0, theta1, ustar, n, streams, rng, work)
+        rows = _statistic(block, model, work)
+        failures = Counter(type(e).__name__ for e in rows.errors if e is not None)
+        out.append((rows.u_hats, rows.t_stats, failures))
+    return out
 
 
 def _location_stats(u_ok: np.ndarray, ustar: float):
@@ -242,11 +255,16 @@ def run_experiment(
     """
     model = get_model(config.model)
     crit = _threshold(model.dim, config.level, table=table)
+    blocks = _seed_blocks(config.seed, config.n, config.m)
+    # one task of consecutive blocks per worker, so each worker reuses one
+    # workspace
+    size = -(-len(blocks) // max(1, int(jobs)))
     tasks = [
-        (config.model, config.theta0, config.theta1, config.ustar, config.n, streams)
-        for streams in _seed_blocks(config.seed, config.n, config.m)
+        (config.model, config.theta0, config.theta1, config.ustar, config.n, blocks[i : i + size])
+        for i in range(0, len(blocks), size)
     ]
-    u_parts, t_parts, failure_parts = zip(*_run_tasks(_run_chunk, tasks, jobs))
+    parts = [part for out in _run_tasks(_run_chunk, tasks, jobs) for part in out]
+    u_parts, t_parts, failure_parts = zip(*parts)
     u_hats = np.concatenate(u_parts)
     t_stats = np.concatenate(t_parts)
     rejects = t_stats > crit
@@ -487,11 +505,14 @@ def sup_zn_gap(
     drift = oracle.drift(ks / n)
     change = tuple(np.asarray(theta1, float)) != tuple(np.asarray(theta0, float))
     gaps = []
+    # as in _run_chunk: one generator, and one workspace for the sample
+    # block and the product row
+    rng, work = np.random.Generator(np.random.PCG64()), {}
     for streams in blocks:
-        block = _sample_block(model, theta0, theta1 if change else None, ustar, n, streams)
+        block = _sample_block(model, theta0, theta1 if change else None, ustar, n, streams, rng, work)
         moments = _psi(block, model)
         prefix = _prefix(moments)
-        fit = _fit(block, moments, model)
+        fit = _fit(block, moments, model, work)
         # the gap of a failed row, which is left out, may overflow
         with np.errstate(over="ignore", invalid="ignore"):
             # Z_n - drift in place: no second array of the sums' size

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularCovariance
-from .estimator import _as_sample, _fit, _moments, _prefix, _psi
+from .estimator import _as_sample, _empty, _fit, _moments, _prefix, _psi
 from .limits import _threshold
 from .models import MomentModel, _ill_conditioned, _mean_at
 
@@ -102,11 +102,12 @@ def _plug_in(cov: np.ndarray, r: np.ndarray) -> np.ndarray:
     return cov + r[:, :, None] * r[:, None, :]
 
 
-def _whiten(z: np.ndarray, chol: np.ndarray) -> None:
+def _whiten(z: np.ndarray, chol: np.ndarray, work: dict | None) -> None:
     """In place: each ``dim``-vector of an ``(m, K, dim)`` array becomes
     ``chol^{-1} z``, by forward substitution with the ``(m, dim, dim)``
-    lower factors ``chol``."""
-    tmp = np.empty(z.shape[:2])
+    lower factors ``chol``. Its ``(m, K)`` temporary is the workspace's
+    ``"row"`` buffer, free once ``_moments`` has summed its product rows."""
+    tmp = _empty(work, "row", z.shape[:2])
     for j in range(z.shape[2]):
         for i in range(j):
             np.multiply(z[:, :, i], chol[:, j, i, None], out=tmp)
@@ -123,7 +124,9 @@ def _squared_norms(z: np.ndarray, out: np.ndarray) -> None:
         out += z[:, :, j]
 
 
-def _path(centred: np.ndarray, r: np.ndarray, chol: np.ndarray) -> np.ndarray:
+def _path(
+    centred: np.ndarray, r: np.ndarray, chol: np.ndarray, work: dict | None = None
+) -> np.ndarray:
     """Statistic paths ``t[k] = n Z_n' sigma^{-1} Z_n``, ``k = 0..n``, in one forward pass.
 
     ``centred`` holds the ``(m, n, dim)`` moments centred at ``psi_bar``
@@ -135,11 +138,15 @@ def _path(centred: np.ndarray, r: np.ndarray, chol: np.ndarray) -> np.ndarray:
     buffer, whose squared norms are the path. Every sum is one sequential
     sum, so the path does not depend on the chunk size. A read-only
     ``centred`` is left as it is: each chunk is copied before it is whitened.
+    With a workspace ``work`` (see :func:`~momentcpt.estimator._empty`), the
+    chunk buffer, the whitening temporary and the returned ``(m, n + 1)``
+    path are its buffers ``"chunk"``, ``"row"`` and ``"path"``, which the
+    next block overwrites; without one they are allocated.
     """
     m, n, d = centred.shape
     size = min(n, _CHUNK)
-    buf = np.empty((m, size, d))
-    path = np.empty((m, n + 1))
+    buf = _empty(work, "chunk", (m, size, d))
+    path = _empty(work, "path", (m, n + 1))
     path[:, 0] = 0.0
     chol = chol * math.sqrt(n)
     for a in range(0, n, size):
@@ -149,7 +156,7 @@ def _path(centred: np.ndarray, r: np.ndarray, chol: np.ndarray) -> np.ndarray:
         sums = buf[:, : w.shape[1]]
         for j in range(d):
             w[:, :, j] += r[:, j, None]
-        _whiten(w, chol)
+        _whiten(w, chol, work)
         if a:
             w[:, 0] += last
         src, dst = w, sums
@@ -181,17 +188,19 @@ class _Rows:
     errors: list
 
 
-def _statistic(block: np.ndarray, model: MomentModel) -> _Rows:
+def _statistic(block: np.ndarray, model: MomentModel, work: dict | None = None) -> _Rows:
     """The change point test on every row of an ``(m, n)`` block of samples.
 
     The caller validates the data. A row that fails keeps the error that
     :func:`run_test` raises for that sample alone, in the same order of
     checks: finite moments (a ``ValueError``), then the
     :class:`~momentcpt.errors.EstimationError` of degeneracy, the fit and
-    the plug-in covariance.
+    the plug-in covariance. A workspace ``work`` goes to the moment and
+    path stages, and then ``paths`` is its buffer; the other fields are
+    arrays of their own.
     """
     m, n = block.shape
-    fit = _fit(block, _psi(block, model), model)
+    fit = _fit(block, _psi(block, model), model, work)
     errors = fit.errors
     r = fit.psi_bar - fit.means
     sigma = _plug_in(fit.cov, r)
@@ -201,7 +210,7 @@ def _statistic(block: np.ndarray, model: MomentModel) -> _Rows:
 
     ok = np.array([e is None for e in errors])
     whiten = np.where(ok[:, None, None], sigma, np.eye(model.dim))
-    paths = _path(fit.centred, r, np.linalg.cholesky(whiten))
+    paths = _path(fit.centred, r, np.linalg.cholesky(whiten), work)
     k_hat = np.argmax(paths, axis=1)
     t_stats = np.where(ok, paths[np.arange(m), k_hat], np.nan)
     u_hats = np.where(ok, k_hat / n, np.nan)

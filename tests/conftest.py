@@ -11,12 +11,17 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import special
 from scipy.optimize import brentq
 
+import momentcpt
 from momentcpt import get_model, model_names, normal_model
 
 # Interior parameter points used for grid checks, per model.
@@ -196,3 +201,17 @@ def grid_corrected_quantile(quantile, grid):
 
 def sample_from(model, theta, n, rng):
     return model.sample(theta, rng, n)
+
+
+def run_fresh(code: str) -> None:
+    """Run ``code`` in a fresh interpreter: the test suite's imports stay out."""
+    src = str(Path(momentcpt.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

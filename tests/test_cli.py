@@ -6,15 +6,13 @@ import csv
 import errno
 import json
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import momentcpt
 from momentcpt.cli import main
+
+from conftest import run_fresh
 
 # Deterministic fixtures: periodic data has no drift in its partial sums, so
 # the test never rejects; gluing two periodic blocks with a 20x scale jump
@@ -496,25 +494,11 @@ assert "concurrent.futures.process" not in sys.modules, "imported by a run in-pr
 """
 
 
-def _run_fresh(code: str) -> None:
-    """Run ``code`` in a fresh interpreter: the test suite's imports stay out."""
-    src = str(Path(momentcpt.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-
-
 def test_library_and_cli_run_without_scipy():
     # the test suite itself imports scipy
-    _run_fresh(NO_SCIPY)
+    run_fresh(NO_SCIPY)
 
 
 def test_the_process_pool_is_imported_only_for_workers():
     # its module is a large part of the package's import time
-    _run_fresh(NO_POOL)
+    run_fresh(NO_POOL)
