@@ -186,11 +186,12 @@ def _psi(block: np.ndarray, model: MomentModel) -> np.ndarray:
 def _empty(work: dict | None, name: str, shape: tuple) -> np.ndarray:
     """An uninitialised float array of ``shape``, fresh or from a workspace.
 
-    A workspace ``work`` is a dict that the blocks of one experiment task
-    share: the array is then a C-contiguous view of the front of its buffer
-    ``name``, which is allocated only when a request is larger than every
-    earlier one, so blocks after a task's first, largest one allocate no
-    such array. The view holds what the last user of ``name`` left there.
+    A workspace ``work`` is a dict that the blocks of one experiment task,
+    or of one sweep step, share: the array is then a C-contiguous view of
+    the front of its buffer ``name``, which is allocated only when a
+    request is larger than every earlier one, so blocks after a task's
+    first, largest one allocate no such array. The view holds what the
+    last user of ``name`` left there.
     """
     if work is None:
         return np.empty(shape)
@@ -200,12 +201,14 @@ def _empty(work: dict | None, name: str, shape: tuple) -> np.ndarray:
     return work[name][:size].reshape(shape)
 
 
-def _prefix(moments: np.ndarray) -> np.ndarray:
+def _prefix(moments: np.ndarray, work: dict | None = None) -> np.ndarray:
     """The ``(m, n + 1, dim)`` raw prefix sums ``S_k = psi_1 + ... + psi_k``
     (``S_0 = 0``) of the moments from :func:`_psi`, taken before :func:`_fit`
-    centres them."""
+    centres them. With a workspace ``work`` they are its buffer
+    ``"prefix"`` (see :func:`_empty`), which the next block overwrites."""
     m, n, d = moments.shape
-    prefix = np.zeros((m, n + 1, d))
+    prefix = _empty(work, "prefix", (m, n + 1, d))
+    prefix[:, 0] = 0.0
     # an overflow is reported by _moments, by name
     with np.errstate(over="ignore", invalid="ignore"):
         np.cumsum(moments, axis=1, out=prefix[:, 1:])

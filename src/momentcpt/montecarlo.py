@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EstimationError, SingularCovariance
-from .estimator import _empty, _fit, _norms, _prefix, _psi, _solve
+from .estimator import _empty, _norms, _prefix, _psi, _solve
 from .limits import (
     _check_integer,
     _is_integer,
@@ -32,7 +32,7 @@ from .limits import (
     _threshold,
 )
 from .models import MomentModel, _ill_conditioned, _mean_at, get_model
-from .zprocess import _floor_index, _statistic
+from .zprocess import _floor_index, _squared_norms, _statistic
 
 __all__ = [
     "ExperimentConfig",
@@ -223,7 +223,7 @@ def _run_chunk(task):
     out = []
     for streams in blocks:
         block = _sample_block(model, theta0, theta1, ustar, n, streams, rng, work)
-        rows = _statistic(block, model, work)
+        rows = _statistic(block, _psi(block, model), model, work)
         failures = Counter(type(e).__name__ for e in rows.errors if e is not None)
         out.append((rows.u_hats, rows.t_stats, failures))
     return out
@@ -417,22 +417,63 @@ class ConsistencyDiagnostics:
     rows: tuple[ConsistencyRow, ...]
 
 
+def _gap_pass(model, oracle, theta0, theta1, n, reps, seed):
+    """The test and the sup-gap on ``reps`` seeded samples, a block at a time.
+
+    The blocks of :func:`_seed_blocks` are drawn under ``theta0``, and
+    under ``theta1`` from ``oracle.ustar`` on unless ``theta1`` is None,
+    and tested on the statistic core with one generator and one workspace,
+    as :func:`_run_chunk` does. A block's raw prefix sums are taken before
+    the fit centres its moments, and each row's gap
+    ``sup_k |Z_n(k/n, theta_hat) - oracle.drift(k/n)|`` comes from them and
+    the row's own fit. Yields per block the ``u_hats`` and ``t_stats`` of
+    every row and the gaps of the rows whose fit succeeded; a row that
+    fails only the plug-in covariance check has a gap.
+    """
+    ks = np.arange(n + 1, dtype=float)
+    drift = oracle.drift(ks / n)
+    rng, work = np.random.Generator(np.random.PCG64()), {}
+    for streams in _seed_blocks(seed, n, reps):
+        block = _sample_block(model, theta0, theta1, oracle.ustar, n, streams, rng, work)
+        moments = _psi(block, model)
+        prefix = _prefix(moments, work)
+        rows = _statistic(block, moments, model, work)
+        # the gap of a failed row, which is left out, may overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Z_n - drift in place: no second array of the sums' size
+            for j in range(model.dim):
+                prefix[:, :, j] -= ks * rows.means[:, j, None]
+            prefix /= n
+            prefix -= drift
+            # squared into the path buffer, which the test no longer reads
+            _squared_norms(prefix, rows.paths)
+        yield rows.u_hats, rows.t_stats, [
+            math.sqrt(path.max())
+            for path, theta in zip(rows.paths, rows.theta)
+            if not np.isnan(theta[0])
+        ]
+
+
 def consistency_diagnostics(
-    config: ExperimentConfig,
-    n_values: Sequence[int] = (100, 500, 2000),
-    jobs: int = 1,
-    table=None,
+    config: ExperimentConfig, n_values: Sequence[int] = (100, 500, 2000)
 ) -> ConsistencyDiagnostics:
     """Check the statistic's growth, the location error and the process's
     distance from its drift across n.
 
-    For each sample size, runs :func:`run_experiment` and
-    :func:`sup_zn_gap` with ``config.m`` replications and ``config.seed``,
-    and reports them as a :class:`ConsistencyRow`. When the model and the
-    alternative are specified correctly, the location error and the
-    sup-gap shrink toward zero as n grows and the fraction above half the
-    bound tends to one. Requires a change experiment. ``jobs`` and ``table`` (None or the
-    path of a table file) are forwarded to :func:`run_experiment`.
+    For each sample size, draws ``config.m`` replications from
+    ``config.seed`` as :func:`run_experiment` draws them, maps each through
+    ``psi`` and fits it once, and takes the statistic, the location and
+    the :func:`sup_zn_gap` from that one fit, reported as a
+    :class:`ConsistencyRow`. When the model and the alternative are
+    specified correctly, the location error and the sup-gap shrink toward
+    zero as n grows and the fraction above half the bound tends to one.
+    Requires a change experiment; each size must be a valid ``n`` of the
+    config.
+
+    Raises
+    ------
+    EstimationError
+        If every replication at some size fails.
     """
     if not config.has_change:
         raise ValueError(
@@ -444,24 +485,23 @@ def consistency_diagnostics(
     rows = []
     for n in n_values:
         sized = replace(config, n=n)
-        result = run_experiment(sized, jobs=jobs, table=table)
-        ok = ~np.isnan(result.u_hats)
+        steps = _gap_pass(
+            model, oracle, sized.theta0, sized.theta1, sized.n, sized.m, sized.seed
+        )
+        u_hats, t_stats, gaps = map(np.concatenate, zip(*steps))
+        ok = ~np.isnan(u_hats)
+        if not ok.any():
+            raise EstimationError(
+                f"all {sized.m} replications failed at n = {sized.n}"
+            )
         bound = oracle.detection_bound(sized.n)
         rows.append(
             ConsistencyRow(
                 n=sized.n,
                 bound=bound,
-                frac_above_half_bound=float(np.mean(result.t_stats[ok] >= 0.5 * bound)),
-                median_abs_error=float(np.median(np.abs(result.u_hats[ok] - config.ustar))),
-                sup_gap=sup_zn_gap(
-                    model,
-                    config.theta0,
-                    config.theta1,
-                    config.ustar,
-                    n=sized.n,
-                    reps=config.m,
-                    seed=config.seed,
-                ),
+                frac_above_half_bound=float(np.mean(t_stats[ok] >= 0.5 * bound)),
+                median_abs_error=float(np.median(np.abs(u_hats[ok] - config.ustar))),
+                sup_gap=math.fsum(gaps) / len(gaps),
             )
         )
     return ConsistencyDiagnostics(oracle=oracle, rows=tuple(rows))
@@ -480,8 +520,10 @@ def sup_zn_gap(
 
     With ``theta1`` absent or equal to ``theta0`` the drift is zero and this
     measures the raw supremum of the partial-sum process, which shrinks at
-    the usual root-n rate under a stable model. Replications whose estimate
-    fails are left out of the mean.
+    the usual root-n rate under a stable model. Replication ``i`` is drawn
+    as :func:`run_experiment` draws it, from ``seed`` and ``n``, and is
+    fitted once, by the statistic core. Replications whose estimate fails
+    are left out of the mean.
 
     Raises
     ------
@@ -497,31 +539,12 @@ def sup_zn_gap(
         raise ValueError(
             f"n: need at least {model.dim + 1} observations, got {n!r}"
         )
-    blocks = _seed_blocks(seed, n, reps)
-    if theta1 is None:
-        theta1 = theta0
-    oracle = alternative_oracle(model, theta0, theta1, ustar)
-    ks = np.arange(n + 1, dtype=float)
-    drift = oracle.drift(ks / n)
-    change = tuple(np.asarray(theta1, float)) != tuple(np.asarray(theta0, float))
-    gaps = []
-    # as in _run_chunk: one generator, and one workspace for the sample
-    # block and the product row
-    rng, work = np.random.Generator(np.random.PCG64()), {}
-    for streams in blocks:
-        block = _sample_block(model, theta0, theta1 if change else None, ustar, n, streams, rng, work)
-        moments = _psi(block, model)
-        prefix = _prefix(moments)
-        fit = _fit(block, moments, model, work)
-        # the gap of a failed row, which is left out, may overflow
-        with np.errstate(over="ignore", invalid="ignore"):
-            # Z_n - drift in place: no second array of the sums' size
-            for j in range(model.dim):
-                prefix[:, :, j] -= ks * fit.means[:, j, None]
-            prefix /= n
-            prefix -= drift
-            dist = np.linalg.norm(prefix, axis=2)
-        gaps += [float(dist[i].max()) for i, e in enumerate(fit.errors) if e is None]
+    oracle = alternative_oracle(
+        model, theta0, theta0 if theta1 is None else theta1, ustar
+    )
+    change = theta1 is not None and not np.array_equal(theta1, theta0)
+    steps = _gap_pass(model, oracle, theta0, theta1 if change else None, n, reps, seed)
+    gaps = [gap for _, _, block_gaps in steps for gap in block_gaps]
     if not gaps:
         raise EstimationError("all replications failed")
     return math.fsum(gaps) / len(gaps)

@@ -14,13 +14,13 @@ the moments of the sample are not homogeneous in time; the maximizing index
 estimates the change location.
 
 One private core, ``_statistic``, computes the test for each row of an
-``(m, n)`` block of samples: one ``psi`` call, ``psi_bar`` as the pairwise
-sum of each moment over the row divided by ``n``, and the fit from
-``psi_bar``, which together are the block fit that
-:func:`~momentcpt.estimator.mme` runs on one row; then the covariance
-``S + r r'`` from the centred sample covariance ``S`` and the estimating
-equation residual ``r = psi_bar - mean(theta_hat)``, and a Cholesky
-factor. The path is summed from whitened increments: each
+``(m, n)`` block of samples from the moments of one ``psi`` call, which
+the caller makes: ``psi_bar`` as the pairwise sum of each moment over the
+row divided by ``n``, and the fit from ``psi_bar``, which together are the
+block fit that :func:`~momentcpt.estimator.mme` runs on one row; then the
+covariance ``S + r r'`` from the centred sample covariance ``S`` and the
+estimating equation residual ``r = psi_bar - mean(theta_hat)``, and a
+Cholesky factor. The path is summed from whitened increments: each
 ``psi(X_k) - mean(theta_hat)`` is whitened before it is added, so no raw
 sum of moments has ``k * mean(theta_hat)`` subtracted from it, a step that
 cancels digits when the data sit far from zero. A sample of more than
@@ -174,12 +174,15 @@ def _path(
 class _Rows:
     """The test on each row of a block; ``errors[i]`` is set for a failed row.
 
-    ``theta[i]`` is the row's moment estimate, ``t_stats[i]`` and
-    ``u_hats[i] = k_hat[i] / n`` its statistic and change fraction; all
-    are NaN for a failed row.
+    ``theta[i]`` is the row's moment estimate, ``means[i]`` its
+    ``mean(theta)``, ``t_stats[i]`` and ``u_hats[i] = k_hat[i] / n`` its
+    statistic and change fraction; ``theta``, ``t_stats`` and ``u_hats``
+    are NaN for a failed row. ``theta`` is NaN only for a row whose fit
+    failed, not for one that fails only the plug-in covariance check.
     """
 
     theta: np.ndarray
+    means: np.ndarray
     sigma: np.ndarray
     paths: np.ndarray
     k_hat: np.ndarray
@@ -188,9 +191,13 @@ class _Rows:
     errors: list
 
 
-def _statistic(block: np.ndarray, model: MomentModel, work: dict | None = None) -> _Rows:
+def _statistic(
+    block: np.ndarray, moments: np.ndarray, model: MomentModel, work: dict | None = None
+) -> _Rows:
     """The change point test on every row of an ``(m, n)`` block of samples.
 
+    ``moments`` are the block's moments from
+    :func:`~momentcpt.estimator._psi`, which the fit centres in place.
     The caller validates the data. A row that fails keeps the error that
     :func:`run_test` raises for that sample alone, in the same order of
     checks: finite moments (a ``ValueError``), then the
@@ -200,7 +207,7 @@ def _statistic(block: np.ndarray, model: MomentModel, work: dict | None = None) 
     arrays of their own.
     """
     m, n = block.shape
-    fit = _fit(block, _psi(block, model), model, work)
+    fit = _fit(block, moments, model, work)
     errors = fit.errors
     r = fit.psi_bar - fit.means
     sigma = _plug_in(fit.cov, r)
@@ -214,7 +221,7 @@ def _statistic(block: np.ndarray, model: MomentModel, work: dict | None = None) 
     k_hat = np.argmax(paths, axis=1)
     t_stats = np.where(ok, paths[np.arange(m), k_hat], np.nan)
     u_hats = np.where(ok, k_hat / n, np.nan)
-    return _Rows(fit.theta, sigma, paths, k_hat, t_stats, u_hats, errors)
+    return _Rows(fit.theta, fit.means, sigma, paths, k_hat, t_stats, u_hats, errors)
 
 
 def build_state(data, model: MomentModel) -> ZProcessState:
@@ -380,7 +387,7 @@ def _report(
 ) -> TestReport:
     """The test on one sample; it rejects only against a critical value."""
     data = _as_sample(data, model.dim + 2)
-    rows = _statistic(data[None], model)
+    rows = _statistic(data[None], _psi(data[None], model), model)
     if rows.errors[0] is not None:
         raise rows.errors[0]
     t_stat = float(rows.t_stats[0])

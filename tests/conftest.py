@@ -136,12 +136,18 @@ def positive_mean_normal():
 
 
 def brute_force_path(data, model, theta, sigma):
-    """Statistic path via fresh summation and an explicit inverse."""
+    """Statistic path via fresh summation and an explicit inverse.
+
+    The moments are summed and ``z`` formed in ``np.longdouble``, so the
+    reference's own rounding stays below the library's where ``longdouble``
+    is wider than ``double``; the inverse is taken in float64.
+    """
     data = np.asarray(data, dtype=float)
     n = data.shape[0]
-    moments = np.asarray(model.psi(data), dtype=float)
-    mean = np.asarray(model.mean(theta), dtype=float)
-    inv = np.linalg.inv(np.asarray(sigma, dtype=float))
+    wide = np.longdouble
+    moments = np.asarray(model.psi(data), dtype=float).astype(wide)
+    mean = np.asarray(model.mean(theta), dtype=float).astype(wide)
+    inv = np.linalg.inv(np.asarray(sigma, dtype=float)).astype(wide)
     out = np.empty(n + 1)
     for k in range(n + 1):
         z = (moments[:k].sum(axis=0) - k * mean) / n

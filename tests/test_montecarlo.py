@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import sys
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -609,6 +610,86 @@ class TestDiagnostics:
         assert rows[0].sup_gap == sup_zn_gap(
             gamma_model(), (1.0, 0.01), (1.0, 0.05), 0.75, n=100, reps=25, seed=3
         )
+
+
+SWEEP_CONFIGS = {
+    "gamma": (
+        make_config(theta0=(1.0, 0.01), theta1=(1.0, 0.05), ustar=0.75, m=300, seed=3),
+        (100, 400),
+    ),
+    # 41 of the 200 replications fail at n=4 and 3 at n=8
+    "bernoulli_small_n": (
+        make_config(model="bernoulli", theta0=(0.2,), theta1=(0.5,), ustar=0.5, m=200, seed=5),
+        (4, 8, 16),
+    ),
+}
+
+
+class TestSweep:
+    @pytest.mark.parametrize("name", sorted(SWEEP_CONFIGS))
+    def test_a_sweep_row_matches_the_experiment_at_its_size(self, name):
+        config, n_values = SWEEP_CONFIGS[name]
+        failed = 0
+        for row in consistency_diagnostics(config, n_values).rows:
+            result = run_experiment(replace(config, n=row.n))
+            ok = ~np.isnan(result.u_hats)
+            failed += result.n_failed
+            assert row.frac_above_half_bound == float(
+                np.mean(result.t_stats[ok] >= 0.5 * row.bound)
+            )
+            assert row.median_abs_error == float(
+                np.median(np.abs(result.u_hats[ok] - config.ustar))
+            )
+        assert (failed > 0) == (name == "bernoulli_small_n")
+
+    def test_a_sweep_samples_and_fits_each_block_once(self, monkeypatch):
+        config, _ = SWEEP_CONFIGS["gamma"]
+        base = gamma_model()
+        psi_calls, sampled = [], []
+
+        def psi(x):
+            psi_calls.append(x.size)
+            return base.psi(x)
+
+        def sample_block(*args):
+            sampled.append(args[4])
+            return sample(*args)
+
+        sample = montecarlo._sample_block
+        counted = replace(base, psi=psi)
+        monkeypatch.setattr(montecarlo, "get_model", lambda name: counted)
+        monkeypatch.setattr(montecarlo, "_sample_block", sample_block)
+        consistency_diagnostics(config, n_values=(100, 400))
+        # blocks of 250 and 50 replications at each n
+        assert sampled == [100, 100, 400, 400]
+        assert psi_calls == [25_000, 5_000, 100_000, 20_000]
+
+    def test_a_sweep_needs_no_critical_value(self):
+        # no packaged critical value exists at this level, and no row reads one
+        config, _ = SWEEP_CONFIGS["gamma"]
+        rows = consistency_diagnostics(replace(config, level=0.07, m=20), (100,)).rows
+        assert rows == consistency_diagnostics(replace(config, m=20), (100,)).rows
+
+    def test_each_size_is_checked_as_a_config_n(self):
+        config, _ = SWEEP_CONFIGS["gamma"]
+        with pytest.raises(ValueError, match="config key 'n': need at least 4"):
+            consistency_diagnostics(config, (3,))
+        with pytest.raises(ValueError, match="config key 'n': must be a positive integer"):
+            consistency_diagnostics(config, (100, 2.5))
+
+
+def test_sup_zn_gap_holds_one_block_of_sums():
+    # one block of 4 rows: per observation the sample and the path take 8 B
+    # each, the moments and the raw prefix sums 16 B each, and the row
+    # buffer 8 B; the gap is squared into the spent path, not a new array
+    n = 2**17
+    tracemalloc.start()
+    try:
+        sup_zn_gap(gamma_model(), (1.0, 0.01), (1.0, 0.05), 0.75, n=n, reps=4, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (4 * n) <= 80
 
 
 class TestConfigFiles:

@@ -350,11 +350,11 @@ def test_chunked_stages_fail_a_row_as_a_whole_one_does(monkeypatch, chunk):
     g = gamma_model()
     block = _failing_block()
     whole = [_outcome(g, row) for row in block]
-    rows = zprocess._statistic(block, g)
+    rows = zprocess._statistic(block, zprocess._psi(block, g), g)
     monkeypatch.setattr(zprocess, "_CHUNK", chunk)
     for row, expected in zip(block, whole):
         _same(_outcome(g, row), expected)
-    chunked = zprocess._statistic(block, g)
+    chunked = zprocess._statistic(block, zprocess._psi(block, g), g)
     assert [repr(e) for e in chunked.errors] == [repr(e) for e in rows.errors]
     for field in ("theta", "sigma", "paths", "k_hat", "t_stats", "u_hats"):
         assert np.array_equal(getattr(chunked, field), getattr(rows, field), equal_nan=True)
