@@ -12,6 +12,7 @@ other combination can be simulated on demand.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -240,7 +241,8 @@ def critical_value(
     dim : int
         Dimension of the bridge (equals the model dimension).
     level : float or iterable of float
-        One or more levels in (0, 1); all levels reuse the same draws.
+        One or more levels in (0, 1); all levels reuse the same draws. A
+        number of any numeric type, a 0-d array among them, is one level.
     replications, grid : int
         Number of bridge draws and grid points per path.
     seed : int
@@ -252,10 +254,16 @@ def critical_value(
     _check_integer("dim", dim, 1)
     _check_integer("replications", replications, 2)
     _check_integer("grid", grid, 1)
-    if isinstance(level, (int, float)):
-        levels = (float(level),)
-    else:
-        levels = tuple(float(l) for l in level)
+    # a number of any numeric type is one level, and so is a 0-d array
+    values = level if isinstance(level, Iterable) else [level]
+    if isinstance(level, np.ndarray):
+        values = level.ravel()
+    try:
+        levels = tuple(float(l) for l in values)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"level must be a number or an iterable of numbers, got {level!r}"
+        ) from None
     if not levels:
         raise ValueError("need at least one level")
     for lvl in levels:
@@ -369,7 +377,7 @@ def write_table_file(path, rows: Mapping[tuple[int, float], TableRow]) -> None:
     lines = ["# dim level value stderr replications grid seed"]
     for (dim, level), row in sorted(rows.items()):
         lines.append(
-            f"{dim} {level:g} {row.value!r} {row.stderr!r} "
+            f"{dim} {float(level)!r} {row.value!r} {row.stderr!r} "
             f"{row.replications} {row.grid_points} {row.seed}"
         )
     Path(path).write_text("\n".join(lines) + "\n")

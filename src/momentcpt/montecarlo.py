@@ -213,9 +213,9 @@ def _run_chunk(task):
     Every block of the task is drawn with one generator and tested in one
     workspace (see :func:`~momentcpt.estimator._empty`), which supplies the
     ``(rows, n)`` sample block, the ``(rows, n)`` row buffer of the moment
-    and whitening stages, the path stage's chunk buffer and the
-    ``(rows, n + 1)`` path, so a task holds one block's arrays however many
-    blocks it has. The returned arrays are not in the workspace.
+    and whitening stages and the ``(rows, n + 1)`` path, so a task holds
+    one block's arrays however many blocks it has. The returned arrays are
+    not in the workspace.
     """
     (model_name, theta0, theta1, ustar, n, blocks) = task
     model = get_model(model_name)

@@ -23,11 +23,9 @@ estimating equation residual ``r = psi_bar - mean(theta_hat)``, and a
 Cholesky factor. The path is summed from whitened increments: each
 ``psi(X_k) - mean(theta_hat)`` is whitened before it is added, so no raw
 sum of moments has ``k * mean(theta_hat)`` subtracted from it, a step that
-cancels digits when the data sit far from zero. A sample of more than
-``2**15`` observations is summed a chunk of indices ``k`` at a time in one
-chunk-sized buffer, each chunk carrying the previous one's last sum, so a
-test holds the moments and one 8-byte path value per observation and every
-sum is the same in any chunk.
+cancels digits when the data sit far from zero. The increments are
+whitened and summed in place, in the moment array, so a test holds the
+moments and one 8-byte row per observation at a time.
 :func:`run_test` and :func:`detect` are its one-row case and the
 experiment harness feeds it whole blocks of replications; a row's results
 do not depend on the other rows. The public pieces :func:`build_state`,
@@ -61,11 +59,6 @@ __all__ = [
 ]
 
 _SINGULAR_SIGMA = "plug-in covariance of psi(X) is numerically singular"
-
-# Observations per chunk of the path stage: a longer row is whitened and
-# summed a chunk at a time into one chunk-sized buffer, so its moments and
-# its path are its only arrays of full length.
-_CHUNK = 1 << 15
 
 
 def _floor_index(u: float, n: int) -> int:
@@ -132,41 +125,25 @@ def _path(
     ``centred`` holds the ``(m, n, dim)`` moments centred at ``psi_bar``
     and ``r = psi_bar - mean(theta)`` the residual per row, so that
     ``centred + r`` are the increments ``psi_k - mean(theta)`` of ``n Z_n``.
-    Each increment is whitened in place by forward substitution with
-    ``chol * sqrt(n)``; then a chunk of them at a time, its first increment
-    carrying the previous chunk's last sum, is summed into one chunk-sized
-    buffer, whose squared norms are the path. Every sum is one sequential
-    sum, so the path does not depend on the chunk size. A read-only
-    ``centred`` is left as it is: each chunk is copied before it is whitened.
+    In place, each increment is whitened by forward substitution with
+    ``chol * sqrt(n)``, the whitened increments are summed in sequence, and
+    the squared norms of the sums are the path; ``centred`` is overwritten.
     With a workspace ``work`` (see :func:`~momentcpt.estimator._empty`), the
-    chunk buffer, the whitening temporary and the returned ``(m, n + 1)``
-    path are its buffers ``"chunk"``, ``"row"`` and ``"path"``, which the
-    next block overwrites; without one they are allocated.
+    whitening temporary and the returned ``(m, n + 1)`` path are its
+    buffers ``"row"`` and ``"path"``, which the next block overwrites;
+    without one they are allocated.
     """
     m, n, d = centred.shape
-    size = min(n, _CHUNK)
-    buf = _empty(work, "chunk", (m, size, d))
+    for j in range(d):
+        centred[:, :, j] += r[:, j, None]
+    _whiten(centred, chol * math.sqrt(n), work)
+    # complex addition is componentwise, so each pair of columns is summed
+    # in one pass with the same roundings as two real passes
+    src = centred.view(complex) if d % 2 == 0 else centred
+    np.cumsum(src, axis=1, out=src)
     path = _empty(work, "path", (m, n + 1))
     path[:, 0] = 0.0
-    chol = chol * math.sqrt(n)
-    for a in range(0, n, size):
-        w = centred[:, a : a + size]
-        if not w.flags.writeable:
-            w = w.copy()
-        sums = buf[:, : w.shape[1]]
-        for j in range(d):
-            w[:, :, j] += r[:, j, None]
-        _whiten(w, chol, work)
-        if a:
-            w[:, 0] += last
-        src, dst = w, sums
-        if d % 2 == 0:
-            # complex addition is componentwise, so each pair of columns is
-            # summed in one pass with the same roundings as two real passes
-            src, dst = w.view(complex), sums.view(complex)
-        np.cumsum(src, axis=1, out=dst)
-        last = sums[:, -1].copy()
-        _squared_norms(sums, path[:, a + 1 : a + 1 + w.shape[1]])
+    _squared_norms(centred, path[:, 1:])
     return path
 
 
@@ -318,8 +295,9 @@ def t_path(
     solves the estimating equation, ``t[n] == 0`` up to the solver residual.
     Each entry is a sum of squares of the whitened process, so none is
     negative. The path is summed from the whitened increments
-    ``state.centred + state.psi_bar - mean(theta)`` a chunk at a time, as
-    :func:`run_test` sums it, and the state is left as it is.
+    ``state.centred + state.psi_bar - mean(theta)``, as :func:`run_test`
+    sums them, in a copy of the state's centred moments, so the state is
+    left as it is.
 
     Raises
     ------
@@ -341,12 +319,11 @@ def t_path(
         )
     if _ill_conditioned(sigma):
         raise SingularCovariance(_SINGULAR_SIGMA)
-    centred = state.centred[None]
-    centred.flags.writeable = False  # a view: _path copies it a chunk at a time
     r = state.psi_bar - mean
     # an overflow is reported below, by name
     with np.errstate(over="ignore", invalid="ignore"):
-        path = _path(centred, r[None], np.linalg.cholesky(sigma)[None])[0]
+        chol = np.linalg.cholesky(sigma)
+        path = _path(state.centred.copy()[None], r[None], chol[None])[0]
     if not np.isfinite(path).all():
         raise ValueError(
             f"the statistic path overflows at theta = "

@@ -143,6 +143,17 @@ def test_invalid_arguments_raise():
             critical_value(1, 0.05, replications=100, grid=10, seed=seed)
 
 
+def test_a_numpy_scalar_level_is_one_level():
+    kwargs = dict(replications=200, grid=50, seed=1)
+    expected = critical_value(1, 0.05, **kwargs).quantiles
+    assert critical_value(1, np.array(0.05), **kwargs).quantiles == expected
+    table = critical_value(1, np.float32(0.05), **kwargs)
+    assert list(table.quantiles) == [float(np.float32(0.05))]
+    for level in ("0.05", None, [0.05, "x"]):
+        with pytest.raises(ValueError, match="^level must be a number or an iterable"):
+            critical_value(1, level, **kwargs)
+
+
 def test_seeded_table_is_pinned():
     # three seed chunks; these are the values of SeedSequence(5).spawn(3)
     table = critical_value(2, [0.1, 0.05, 0.01], replications=2500, grid=300, seed=5)
@@ -180,6 +191,16 @@ def test_table_file_round_trip(tmp_path):
     text = path.read_text()
     path.write_text("# a comment\n\n" + text)
     assert read_table_file(path) == rows
+
+
+def test_a_long_level_round_trips_through_a_table_file(tmp_path):
+    # the file keeps every digit of the level that keys the row
+    level = 0.0123456789
+    table = critical_value(1, level, replications=200, grid=50, seed=1)
+    path = tmp_path / "cv.txt"
+    write_table_file(path, rows_from_table(table))
+    assert read_table_file(path) == rows_from_table(table)
+    assert lookup_critical_value(1, level, path) == table.quantiles[level]
 
 
 def test_table_file_rejects_malformed_rows(tmp_path):

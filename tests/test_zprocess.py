@@ -286,10 +286,8 @@ def test_composed_pieces_give_the_run_test_path_bit_for_bit(name, n):
     assert np.array_equal(path, report.t_path)
 
 
-@pytest.mark.parametrize("chunk", [7, 1 << 15])
-def test_t_path_leaves_the_state_as_it_is(monkeypatch, chunk):
-    # the state's centred moments are summed a chunk at a time, from copies
-    monkeypatch.setattr(zprocess, "_CHUNK", chunk)
+def test_t_path_leaves_the_state_as_it_is():
+    # the path is whitened and summed in a copy of the state's centred moments
     model = gamma_model()
     data = model.sample((2.0, 1.0), np.random.default_rng(5), 100)
     state = build_state(data, model)
@@ -308,31 +306,19 @@ def _outcome(model, data):
         report = detect(data, model)
         fit = mme(data, model)
         sigma = sigma_hat(data, fit.theta, model)
-        state = build_state(data, model)
-        path = t_path(state, fit.theta, sigma, model)
+        path = t_path(build_state(data, model), fit.theta, sigma, model)
     except (ValueError, DegenerateSample) as exc:
         return type(exc), str(exc)
     # the composed pieces give the path of the core
     assert np.array_equal(path, report.t_path)
     assert np.array_equal(sigma, report.sigma_hat)
-    return report.t_path, report.sigma_hat, report.theta_hat, report.k_hat, state.prefix
+    return report.t_path, report.sigma_hat, report.theta_hat, report.k_hat
 
 
 def _same(left, right):
     assert len(left) == len(right)
     for a, b in zip(left, right):
         assert np.array_equal(a, b), (a, b)
-
-
-@pytest.mark.parametrize("chunk", [1, 7, 64])
-@pytest.mark.parametrize("name", sorted(COMPOSED_MODELS))
-@pytest.mark.parametrize("n", [7, 300])
-def test_chunked_stages_give_the_same_bits(monkeypatch, chunk, name, n):
-    model, theta = COMPOSED_MODELS[name]
-    data = model.sample(theta, np.random.default_rng(n), n)
-    whole = _outcome(model, data)
-    monkeypatch.setattr(zprocess, "_CHUNK", chunk)
-    _same(_outcome(model, data), whole)
 
 
 def _failing_block():
@@ -345,19 +331,16 @@ def _failing_block():
     return block
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 64])
-def test_chunked_stages_fail_a_row_as_a_whole_one_does(monkeypatch, chunk):
+def test_a_block_fails_a_row_as_the_row_alone_fails():
     g = gamma_model()
     block = _failing_block()
-    whole = [_outcome(g, row) for row in block]
     rows = zprocess._statistic(block, zprocess._psi(block, g), g)
-    monkeypatch.setattr(zprocess, "_CHUNK", chunk)
-    for row, expected in zip(block, whole):
-        _same(_outcome(g, row), expected)
-    chunked = zprocess._statistic(block, zprocess._psi(block, g), g)
-    assert [repr(e) for e in chunked.errors] == [repr(e) for e in rows.errors]
-    for field in ("theta", "sigma", "paths", "k_hat", "t_stats", "u_hats"):
-        assert np.array_equal(getattr(chunked, field), getattr(rows, field), equal_nan=True)
+    for i, row in enumerate(block):
+        alone = _outcome(g, row)
+        if rows.errors[i] is None:
+            _same(alone, (rows.paths[i], rows.sigma[i], rows.theta[i], rows.k_hat[i]))
+        else:
+            assert alone == (type(rows.errors[i]), str(rows.errors[i]))
     assert rows.errors[0] is None and rows.errors[5] is None
     assert "psi(data[50]) is not finite" in str(rows.errors[1])
     assert "sum of psi(data[:62]) overflows" in str(rows.errors[2])
@@ -367,7 +350,8 @@ def test_chunked_stages_fail_a_row_as_a_whole_one_does(monkeypatch, chunk):
 
 def test_run_test_holds_the_moments_and_one_row_per_observation():
     # gamma moments are 16 B per observation and the path 8 B; the whitened
-    # increments are summed a chunk at a time, not held in full beside them
+    # increments are summed in place in the moments, and the whitening
+    # temporary is freed before the path is allocated
     n = 2**18
     data = np.random.default_rng(1).gamma(1.0, 100.0, n)
     tracemalloc.start()
@@ -376,7 +360,7 @@ def test_run_test_holds_the_moments_and_one_row_per_observation():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / n < 32
+    assert peak / n < 26
 
 
 def _counting(model):
@@ -397,15 +381,6 @@ def test_run_test_and_detect_evaluate_psi_once(name):
     assert calls["psi"] == 1
     detect(data, model)
     assert calls["psi"] == 2
-
-
-def test_chunked_stages_evaluate_psi_once(monkeypatch):
-    monkeypatch.setattr(zprocess, "_CHUNK", 7)
-    model, calls = _counting(gamma_model())
-    data = model.sample(SAFE_THETA["gamma"], np.random.default_rng(8), 200)
-    run_test(data, model, critical_value=1.0)
-    assert calls["psi"] == 1
-    detect(data, model)
     build_state(data, model)
     assert calls["psi"] == 3
 
