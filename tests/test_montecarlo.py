@@ -801,7 +801,9 @@ def test_sup_zn_gap_evaluates_psi_once_per_block():
     assert calls["psi"] == 2  # blocks of 250 and 50 replications
 
 
-def test_an_experiment_and_sup_zn_gap_repeat_bit_for_bit():
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_chunked_stages_give_the_same_experiment(monkeypatch, chunk):
+    # the statistic core's stages run on blocks of `chunk` replications
     config = ExperimentConfig(
         model="gamma", theta0=(1.0, 0.01), theta1=(1.0, 0.05), ustar=0.75, n=300, m=40, seed=1
     )
@@ -815,9 +817,11 @@ def test_an_experiment_and_sup_zn_gap_repeat_bit_for_bit():
     model = replace(base, psi=psi)
     whole = run_experiment(config)
     gap = sup_zn_gap(model, theta0, theta1, ustar, n=n, reps=reps, seed=seed)
-    again = run_experiment(config)
-    assert np.array_equal(again.t_stats, whole.t_stats, equal_nan=True)
-    assert np.array_equal(again.u_hats, whole.u_hats, equal_nan=True)
+    assert calls["psi"] == 1  # one block of 80 replications
+    monkeypatch.setattr(montecarlo, "_MC_CHUNK", chunk)
+    chunked = run_experiment(config)
+    assert np.array_equal(chunked.t_stats, whole.t_stats, equal_nan=True)
+    assert np.array_equal(chunked.u_hats, whole.u_hats, equal_nan=True)
     calls["psi"] = 0
     assert sup_zn_gap(model, theta0, theta1, ustar, n=n, reps=reps, seed=seed) == gap
-    assert calls["psi"] == 1  # one block of 80 replications
+    assert calls["psi"] == -(-reps // chunk)  # one evaluation per block

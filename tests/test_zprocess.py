@@ -286,10 +286,11 @@ def test_composed_pieces_give_the_run_test_path_bit_for_bit(name, n):
     assert np.array_equal(path, report.t_path)
 
 
-def test_t_path_leaves_the_state_as_it_is():
+@pytest.mark.parametrize("n", [7, 1 << 15])
+def test_t_path_leaves_the_state_as_it_is(n):
     # the path is whitened and summed in a copy of the state's centred moments
     model = gamma_model()
-    data = model.sample((2.0, 1.0), np.random.default_rng(5), 100)
+    data = model.sample((2.0, 1.0), np.random.default_rng(5), n)
     state = build_state(data, model)
     centred = state.centred.copy()
     fit = mme(data, model)
@@ -331,16 +332,46 @@ def _failing_block():
     return block
 
 
-def test_a_block_fails_a_row_as_the_row_alone_fails():
+def _row_outcomes(block, model, chunk):
+    """The statistic core on ``block`` in blocks of ``chunk`` rows, per row as :func:`_outcome` gives it."""
+    out = []
+    for start in range(0, len(block), chunk):
+        part = block[start : start + chunk]
+        rows = zprocess._statistic(part, zprocess._psi(part, model), model, {})
+        for i, error in enumerate(rows.errors):
+            if error is None:
+                out.append((rows.paths[i].copy(), rows.sigma[i], rows.theta[i], rows.k_hat[i]))
+            else:
+                out.append((type(error), str(error)))
+    return out
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize("name", sorted(COMPOSED_MODELS))
+@pytest.mark.parametrize("n", [7, 300])
+def test_chunked_stages_give_the_same_bits(chunk, name, n):
+    # the sample is the last row of a block of `chunk` samples
+    model, theta = COMPOSED_MODELS[name]
+    data = model.sample(theta, np.random.default_rng(n), n)
+    rng = np.random.default_rng(n + 1)
+    others = [model.sample(theta, rng, n) for _ in range(chunk - 1)]
+    block = np.array([*others, data], dtype=float)
+    _same(_row_outcomes(block, model, chunk)[-1], _outcome(model, data))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_chunked_stages_fail_a_row_as_a_whole_one_does(chunk):
     g = gamma_model()
-    block = _failing_block()
+    block = np.vstack([_failing_block()] * 11)  # 66 rows: several blocks of 7 and 64
     rows = zprocess._statistic(block, zprocess._psi(block, g), g)
+    chunked = _row_outcomes(block, g, chunk)
     for i, row in enumerate(block):
         alone = _outcome(g, row)
         if rows.errors[i] is None:
             _same(alone, (rows.paths[i], rows.sigma[i], rows.theta[i], rows.k_hat[i]))
         else:
             assert alone == (type(rows.errors[i]), str(rows.errors[i]))
+        _same(chunked[i], alone)
     assert rows.errors[0] is None and rows.errors[5] is None
     assert "psi(data[50]) is not finite" in str(rows.errors[1])
     assert "sum of psi(data[:62]) overflows" in str(rows.errors[2])
@@ -382,6 +413,17 @@ def test_run_test_and_detect_evaluate_psi_once(name):
     detect(data, model)
     assert calls["psi"] == 2
     build_state(data, model)
+    assert calls["psi"] == 3
+
+
+def test_chunked_stages_evaluate_psi_once():
+    # the fit, covariance and path stages take the block's moments and
+    # evaluate psi no more
+    model, calls = _counting(gamma_model())
+    block = np.random.default_rng(8).gamma(2.0, 1.0, size=(21, 200))
+    for start in range(0, 21, 7):
+        part = block[start : start + 7]
+        zprocess._statistic(part, zprocess._psi(part, model), model, {})
     assert calls["psi"] == 3
 
 
