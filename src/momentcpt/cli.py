@@ -92,7 +92,7 @@ def _print_report(model, report) -> None:
     if tested:
         print(
             f"critical value: {report.critical_value:.6g} "
-            f"(level {report.level:g})"
+            f"(level {float(report.level)!r})"
         )
         decision = "change detected" if report.reject else "no change detected"
         print(f"decision: {decision}")
@@ -173,7 +173,7 @@ def cmd_critval(args) -> int:
     else:
         for (dim, level), row in sorted(rows.items()):
             print(
-                f"dim {dim} level {level:g}: {row.value:.6f} "
+                f"dim {dim} level {float(level)!r}: {row.value:.6f} "
                 f"(se {row.stderr:.2g}, replications {row.replications}, "
                 f"grid {row.grid_points}, seed {row.seed})"
             )

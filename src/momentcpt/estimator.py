@@ -201,6 +201,22 @@ def _empty(work: dict | None, name: str, shape: tuple) -> np.ndarray:
     return work[name][:size].reshape(shape)
 
 
+def _column_pairs(a: np.ndarray) -> list:
+    """The columns of ``a`` (its last axis) two at a time, as views.
+
+    Each pair ``a[..., 2p:2p + 2]`` is one complex array of the leading
+    shape, and an odd last column one real array, so an elementwise add
+    or subtract over the columns runs once per pair, with its inner loop
+    along the second-last axis, not once per column in a loop strided by
+    the row. Complex add and subtract are componentwise, so the results
+    are those of the per-column passes bit for bit. The last axis must
+    have unit stride; viewing a slice of it needs numpy >= 1.23.
+    """
+    d = a.shape[-1]
+    pairs = [a[..., j : j + 2].view(complex)[..., 0] for j in range(0, d - 1, 2)]
+    return pairs + [a[..., -1]] * (d % 2)
+
+
 def _prefix(moments: np.ndarray, work: dict | None = None) -> np.ndarray:
     """The ``(m, n + 1, dim)`` raw prefix sums ``S_k = psi_1 + ... + psi_k``
     (``S_0 = 0``) of the moments from :func:`_psi`, taken before :func:`_fit`
@@ -215,14 +231,13 @@ def _prefix(moments: np.ndarray, work: dict | None = None) -> np.ndarray:
     return prefix
 
 
-def _moments(
-    block: np.ndarray, moments: np.ndarray, model: MomentModel, work: dict | None = None
-):
+def _moments(block: np.ndarray, moments: np.ndarray, work: dict | None = None):
     """The moment stage for every row of an ``(m, n)`` block of samples.
 
     ``moments`` are the block's moments from :func:`_psi`; they are centred
     in place at ``psi_bar``, the pairwise sum of each column over the row
-    divided by ``n``, and returned with ``psi_bar``, the centred covariance
+    divided by ``n``, in one pass per pair of columns (:func:`_column_pairs`),
+    and returned with ``psi_bar``, the centred covariance
     ``(1/n) sum_k (psi_k - psi_bar)(psi_k - psi_bar)'`` per row, and per row
     None or the ``ValueError`` that names the first observation whose
     moments are not finite (or the sum of them that overflows), or the
@@ -255,7 +270,8 @@ def _moments(
             if rows.size:
                 col = moments[:, :, j] if rows.size == m else moments[rows, :, j]
                 constant[rows, j] = (col == col[:, :1]).all(axis=1)
-            moments[:, :, j] -= psi_bar[:, j, None]
+        for col, mean in zip(_column_pairs(moments), _column_pairs(psi_bar)):
+            col -= mean[:, None]
         cov = np.empty((m, d, d))
         prod = _empty(work, "row", (m, n))
         for i in range(d):
@@ -390,7 +406,7 @@ def _fit(
     row's centred covariance for degeneracy, then solves the rows that
     passed with :func:`_solve`, which gives a failed row its own error.
     """
-    centred, psi_bar, cov, errors = _moments(block, moments, model, work)
+    centred, psi_bar, cov, errors = _moments(block, moments, work)
     for i in np.flatnonzero(_ill_conditioned(cov)):
         if errors[i] is None:
             errors[i] = DegenerateSample(_DEGENERATE)

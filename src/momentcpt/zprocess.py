@@ -25,7 +25,11 @@ Cholesky factor. The path is summed from whitened increments: each
 sum of moments has ``k * mean(theta_hat)`` subtracted from it, a step that
 cancels digits when the data sit far from zero. The increments are
 whitened and summed in place, in the moment array, so a test holds the
-moments and one 8-byte row per observation at a time.
+moments and one 8-byte row per observation at a time. The centring at
+``psi_bar``, the residual add and, for an even ``dim``, the running sum
+run once per pair of moment columns on their complex view (see
+:func:`~momentcpt.estimator._column_pairs`); complex addition is
+componentwise, so they give the bits of a pass per column.
 :func:`run_test` and :func:`detect` are its one-row case and the
 experiment harness feeds it whole blocks of replications; a row's results
 do not depend on the other rows. The public pieces :func:`build_state`,
@@ -43,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularCovariance
-from .estimator import _as_sample, _empty, _fit, _moments, _prefix, _psi
+from .estimator import _as_sample, _column_pairs, _empty, _fit, _moments, _prefix, _psi
 from .limits import _threshold
 from .models import MomentModel, _ill_conditioned, _mean_at
 
@@ -110,10 +114,15 @@ def _whiten(z: np.ndarray, chol: np.ndarray, work: dict | None) -> None:
 
 def _squared_norms(z: np.ndarray, out: np.ndarray) -> None:
     """``out[i, k] = |z[i, k]|^2`` for an ``(m, K, dim)`` array ``z``, which
-    is squared in place."""
+    is squared in place. The first two squares are added straight into
+    ``out`` in one pass, which rounds as copying ``z0^2`` and then adding
+    ``z1^2`` does."""
     np.square(z, out=z)
-    out[...] = z[:, :, 0]
-    for j in range(1, z.shape[2]):
+    if z.shape[2] == 1:
+        out[...] = z[:, :, 0]
+    else:
+        np.add(z[:, :, 0], z[:, :, 1], out=out)
+    for j in range(2, z.shape[2]):
         out += z[:, :, j]
 
 
@@ -128,14 +137,17 @@ def _path(
     In place, each increment is whitened by forward substitution with
     ``chol * sqrt(n)``, the whitened increments are summed in sequence, and
     the squared norms of the sums are the path; ``centred`` is overwritten.
+    ``r`` is added, and for an even ``dim`` the increments are summed, in
+    one pass per pair of columns on their complex view, with the bits of a
+    pass per column (see :func:`~momentcpt.estimator._column_pairs`).
     With a workspace ``work`` (see :func:`~momentcpt.estimator._empty`), the
     whitening temporary and the returned ``(m, n + 1)`` path are its
     buffers ``"row"`` and ``"path"``, which the next block overwrites;
     without one they are allocated.
     """
     m, n, d = centred.shape
-    for j in range(d):
-        centred[:, :, j] += r[:, j, None]
+    for col, res in zip(_column_pairs(centred), _column_pairs(r)):
+        col += res[:, None]
     _whiten(centred, chol * math.sqrt(n), work)
     # complex addition is componentwise, so each pair of columns is summed
     # in one pass with the same roundings as two real passes
@@ -214,7 +226,7 @@ def build_state(data, model: MomentModel) -> ZProcessState:
     data = _as_sample(data, 1)
     moments = _psi(data[None], model)
     prefix = _prefix(moments)
-    centred, psi_bar, _, errors = _moments(data[None], moments, model)
+    centred, psi_bar, _, errors = _moments(data[None], moments)
     if errors[0] is not None:
         raise errors[0]
     return ZProcessState(data.shape[0], model.dim, prefix[0], centred[0], psi_bar[0])
@@ -270,7 +282,7 @@ def sigma_hat(data, theta, model: MomentModel) -> np.ndarray:
     """
     mean = _mean_at(theta, model)
     data = _as_sample(data, 1)
-    _, psi_bar, cov, errors = _moments(data[None], _psi(data[None], model), model)
+    _, psi_bar, cov, errors = _moments(data[None], _psi(data[None], model))
     if errors[0] is not None:
         raise errors[0]
     # an overflow is reported below, by name

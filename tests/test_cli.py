@@ -175,6 +175,21 @@ class TestTestCommand:
         assert code == 0
         assert "no change detected" in capsys.readouterr().out
 
+    def test_printed_levels_can_be_passed_back(self, stable_file, tmp_path, capsys):
+        # a level with more digits than a 6-digit format keeps: what either
+        # command prints names the table row that the level came from
+        table = str(tmp_path / "cv.txt")
+        args = ["--replications", "400", "--grid", "50", "--seed", "3", "--out", table]
+        main(["critval", "--dim", "2", "--level", "0.0712345678", *args])
+        printed = capsys.readouterr().out
+        assert printed.startswith("dim 2 level 0.0712345678: ")
+        test = ["test", stable_file, "--model", "gamma", "--table", table, "--level"]
+        assert main([*test, printed.split()[3].rstrip(":")]) == 0
+        report = capsys.readouterr().out
+        assert "(level 0.0712345678)" in report
+        assert main([*test, report.split("(level ")[1].split(")")[0]]) == 0
+        assert capsys.readouterr().out == report
+
     def test_unknown_model_is_a_usage_error(self, stable_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["test", stable_file, "--model", "weibull"])

@@ -643,3 +643,63 @@ def test_gamma_data_with_a_large_shape_are_not_degenerate(shape):
     assert np.isfinite(t_stat)
     # T is invariant under a scale change of gamma data
     np.testing.assert_allclose(detect(x / 8.0, gamma_model()).t_stat, t_stat, rtol=1e-8)
+
+
+def _stages_per_column(moments, r, chol):
+    """The moment and path stages of a block, one column at a time."""
+    m, n, d = moments.shape
+    psi_bar = np.stack([moments[:, :, j].sum(axis=1) for j in range(d)], axis=1) / n
+    bad = ~np.isfinite(psi_bar).all(axis=1)
+    moments[bad] = psi_bar[bad] = 0.0
+    for j in range(d):
+        moments[:, :, j] -= psi_bar[:, j, None]
+    cov = np.empty((m, d, d))
+    for i in range(d):
+        for j in range(i + 1):
+            cov[:, i, j] = cov[:, j, i] = (moments[:, :, i] * moments[:, :, j]).sum(axis=1) / n
+    z = moments.copy()
+    for j in range(d):
+        z[:, :, j] += r[:, j, None]
+    chol = chol * np.sqrt(n)
+    for j in range(d):
+        for i in range(j):
+            z[:, :, j] -= z[:, :, i] * chol[:, j, i, None]
+        z[:, :, j] /= chol[:, j, j, None]
+    path = np.zeros((m, n + 1))
+    for j in range(d):
+        path[:, 1:] += np.cumsum(z[:, :, j], axis=1) ** 2
+    return moments, psi_bar, cov, path
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_paired_columns_give_the_per_column_bits(dim):
+    # one pass per pair of columns, and one for an odd last one, centres
+    # the moments and adds the residual with the bits of a pass per column;
+    # row 1 fails and is zeroed, row 2 sits far from zero
+    rng = np.random.default_rng(dim)
+    m, n = 4, 301
+    block = rng.gamma(2.0, 1.0, (m, n))
+    moments = rng.standard_normal((m, n, dim)) * rng.gamma(2.0, 1.0, dim)
+    moments[1, 7, dim - 1] = np.inf
+    moments[2] += 1e8
+    r = rng.standard_normal((m, dim))
+    chol = np.tril(rng.standard_normal((m, dim, dim)), -1) + np.eye(dim) * rng.gamma(
+        2.0, 1.0, (m, 1, dim)
+    )
+    ref = _stages_per_column(moments.copy(), r, chol)
+    centred, psi_bar, cov, errors = zprocess._moments(block, moments)
+    assert [e is None for e in errors] == [True, False, True, True]
+    _same((centred, psi_bar, cov), ref[:3])
+    _same((zprocess._path(centred, r, chol),), ref[3:])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_column_pairs_are_views_along_the_rows(dim):
+    # each pair is one column of the leading shape, not an axis of pairs
+    a = np.random.default_rng(dim).standard_normal((3, 11, dim))
+    pairs = zprocess._column_pairs(a)
+    assert len(pairs) == (dim + 1) // 2
+    for p, col in enumerate(pairs):
+        assert col.shape == (3, 11) and np.shares_memory(col, a)
+        expect = a[:, :, 2 * p] + 1j * a[:, :, 2 * p + 1] if 2 * p + 1 < dim else a[:, :, -1]
+        assert np.array_equal(col, expect)
