@@ -203,13 +203,13 @@ def _result_row(result) -> dict:
     }
 
 
-def _write_simulate_csv(out_prefix: str, results) -> None:
+def _write_simulate_csv(stem: str, results) -> None:
     rows = [_result_row(result) for result in results]
-    with open(f"{out_prefix}.csv", "w", newline="") as handle:
+    with open(f"{stem}.csv", "w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
-    with open(f"{out_prefix}_hist.csv", "w", newline="") as handle:
+    with open(f"{stem}_hist.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["ustar", "n", "bin_left", "bin_right", "count"])
         for result in results:
@@ -278,12 +278,20 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _values(text: str, kind) -> list:
+    """The comma-separated values of an option; an empty list is a usage error."""
+    values = [kind(part) for part in text.split(",") if part]
+    if not values:
+        raise argparse.ArgumentTypeError(f"need at least one value, got {text!r}")
+    return values
+
+
 def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
+    return _values(text, int)
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part]
+    return _values(text, float)
 
 
 def _build_parser() -> _Parser:

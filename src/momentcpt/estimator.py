@@ -169,11 +169,22 @@ def _psi(block: np.ndarray, model: MomentModel) -> np.ndarray:
 
     The result is C-contiguous and shares no memory with ``block``, so the
     later stages may centre and whiten it in place.
+
+    Raises
+    ------
+    ValueError
+        If ``psi`` does not return one ``dim``-vector per observation, an
+        ``(m * n, dim)`` array.
     """
     m, n = block.shape
     # overflow is reported per row by _moments, by name
     with np.errstate(over="ignore", invalid="ignore"):
         moments = np.asarray(model.psi(block.reshape(-1)), dtype=float)
+    if moments.shape != (m * n, model.dim):
+        raise ValueError(
+            f"psi of model {model.name!r} must return shape {(m * n, model.dim)}, "
+            f"got {moments.shape}"
+        )
     if (
         np.may_share_memory(moments, block)
         or not moments.flags.writeable
@@ -215,20 +226,6 @@ def _column_pairs(a: np.ndarray) -> list:
     d = a.shape[-1]
     pairs = [a[..., j : j + 2].view(complex)[..., 0] for j in range(0, d - 1, 2)]
     return pairs + [a[..., -1]] * (d % 2)
-
-
-def _prefix(moments: np.ndarray, work: dict | None = None) -> np.ndarray:
-    """The ``(m, n + 1, dim)`` raw prefix sums ``S_k = psi_1 + ... + psi_k``
-    (``S_0 = 0``) of the moments from :func:`_psi`, taken before :func:`_fit`
-    centres them. With a workspace ``work`` they are its buffer
-    ``"prefix"`` (see :func:`_empty`), which the next block overwrites."""
-    m, n, d = moments.shape
-    prefix = _empty(work, "prefix", (m, n + 1, d))
-    prefix[:, 0] = 0.0
-    # an overflow is reported by _moments, by name
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.cumsum(moments, axis=1, out=prefix[:, 1:])
-    return prefix
 
 
 def _moments(block: np.ndarray, moments: np.ndarray, work: dict | None = None):

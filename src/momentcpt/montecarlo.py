@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EstimationError, SingularCovariance
-from .estimator import _empty, _norms, _prefix, _psi, _solve
+from .estimator import _empty, _norms, _psi, _solve
 from .limits import (
     _check_integer,
     _is_integer,
@@ -32,7 +32,7 @@ from .limits import (
     _threshold,
 )
 from .models import MomentModel, _ill_conditioned, _mean_at, get_model
-from .zprocess import _floor_index, _squared_norms, _statistic
+from .zprocess import _floor_index, _squared_norms, _statistic, _unwhiten
 
 __all__ = [
     "ExperimentConfig",
@@ -213,7 +213,8 @@ def _run_chunk(task):
     Every block of the task is drawn with one generator and tested in one
     workspace (see :func:`~momentcpt.estimator._empty`), which supplies the
     ``(rows, n)`` sample block, the ``(rows, n)`` row buffer of the moment
-    and whitening stages and the ``(rows, n + 1)`` path, so a task holds
+    and whitening stages, the ``(rows, n, dim)`` squares of the path's sums
+    and the ``(rows, n + 1)`` path, so a task holds
     one block's arrays however many blocks it has. The returned arrays are
     not in the workspace.
     """
@@ -423,30 +424,29 @@ def _gap_pass(model, oracle, theta0, theta1, n, reps, seed):
     The blocks of :func:`_seed_blocks` are drawn under ``theta0``, and
     under ``theta1`` from ``oracle.ustar`` on unless ``theta1`` is None,
     and tested on the statistic core with one generator and one workspace,
-    as :func:`_run_chunk` does. A block's raw prefix sums are taken before
-    the fit centres its moments, and each row's gap
-    ``sup_k |Z_n(k/n, theta_hat) - oracle.drift(k/n)|`` comes from them and
-    the row's own fit. Yields per block the ``u_hats`` and ``t_stats`` of
-    every row and the gaps of the rows whose fit succeeded; a row that
-    fails only the plug-in covariance check has a gap.
+    as :func:`_run_chunk` does. Each row's gap
+    ``sup_k |Z_n(k/n, theta_hat) - oracle.drift(k/n)|`` comes from the
+    test's own whitened sums ``W_k``, which the statistic core leaves in
+    the moment array: ``Z_n(k/n) = chol W_k / sqrt(n)`` with the row's
+    whitening factor ``chol`` (:func:`~momentcpt.zprocess._unwhiten`).
+    Yields per block the ``u_hats`` and ``t_stats`` of every row and the
+    gaps of the rows whose fit succeeded; a row that fails only the
+    plug-in covariance check has a gap.
     """
-    ks = np.arange(n + 1, dtype=float)
-    drift = oracle.drift(ks / n)
+    drift = oracle.drift(np.arange(1, n + 1) / n)
     rng, work = np.random.Generator(np.random.PCG64()), {}
     for streams in _seed_blocks(seed, n, reps):
         block = _sample_block(model, theta0, theta1, oracle.ustar, n, streams, rng, work)
         moments = _psi(block, model)
-        prefix = _prefix(moments, work)
         rows = _statistic(block, moments, model, work)
         # the gap of a failed row, which is left out, may overflow
         with np.errstate(over="ignore", invalid="ignore"):
-            # Z_n - drift in place: no second array of the sums' size
-            for j in range(model.dim):
-                prefix[:, :, j] -= ks * rows.means[:, j, None]
-            prefix /= n
-            prefix -= drift
+            # Z_n - drift in place over the sums, k = 1..n; at k = 0 both
+            # are zero, as is the path there
+            _unwhiten(moments, rows.chol / math.sqrt(n), work)
+            moments -= drift
             # squared into the path buffer, which the test no longer reads
-            _squared_norms(prefix, rows.paths)
+            _squared_norms(moments, rows.paths[:, 1:])
         yield rows.u_hats, rows.t_stats, [
             math.sqrt(path.max())
             for path, theta in zip(rows.paths, rows.theta)

@@ -32,7 +32,11 @@ run once per pair of moment columns on their complex view (see
 componentwise, so they give the bits of a pass per column.
 :func:`run_test` and :func:`detect` are its one-row case and the
 experiment harness feeds it whole blocks of replications; a row's results
-do not depend on the other rows. The public pieces :func:`build_state`,
+do not depend on the other rows. With a workspace, the core leaves the
+whitened sums in the moment array, and the sup-gap sweep of
+:mod:`momentcpt.montecarlo` turns them back into ``Z_n`` with
+:func:`_unwhiten`, so ``Z_n`` is summed one way for the test and the
+sweep alike. The public pieces :func:`build_state`,
 :func:`sigma_hat`, :func:`t_path` and :func:`z_at` wrap the same stages:
 ``mme -> sigma_hat -> build_state -> t_path`` reproduces the estimate,
 covariance and path of :func:`run_test` bit for bit, as the state keeps the
@@ -47,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularCovariance
-from .estimator import _as_sample, _column_pairs, _empty, _fit, _moments, _prefix, _psi
+from .estimator import _as_sample, _column_pairs, _empty, _fit, _moments, _psi
 from .limits import _threshold
 from .models import MomentModel, _ill_conditioned, _mean_at
 
@@ -74,21 +78,18 @@ def _floor_index(u: float, n: int) -> int:
 
 @dataclass(frozen=True)
 class ZProcessState:
-    """Raw prefix sums and centred moments of the moment map over one sample.
+    """The moment map over one sample, centred at its average.
 
-    ``prefix[k]`` holds ``S_k = sum_{j <= k} psi(X_j)``, not centred at any
-    theta; row 0 is zero and row n divided by n is the sample moment vector,
-    summed in sequence. ``psi_bar`` is that vector as the estimate is fit to
-    it, the pairwise sum of each moment divided by n (it may differ from
-    ``prefix[n] / n`` in the last bits), and ``centred[k - 1]`` holds
-    ``psi(X_k) - psi_bar``, the moments that :func:`t_path` sums as
-    :func:`run_test` does. ``prefix`` has shape ``(n + 1, dim)``,
-    ``centred`` ``(n, dim)`` and ``psi_bar`` ``(dim,)``.
+    ``psi_bar`` is the sample moment vector as the estimate is fit to it,
+    the pairwise sum of each moment divided by n, and ``centred[k - 1]``
+    holds ``psi(X_k) - psi_bar``, the moments that :func:`t_path` sums as
+    :func:`run_test` does and from which :func:`z_at` forms
+    ``Z_n(u, theta)``. ``centred`` has shape ``(n, dim)`` and ``psi_bar``
+    ``(dim,)``.
     """
 
     n: int
     dim: int
-    prefix: np.ndarray
     centred: np.ndarray
     psi_bar: np.ndarray
 
@@ -112,18 +113,36 @@ def _whiten(z: np.ndarray, chol: np.ndarray, work: dict | None) -> None:
         z[:, :, j] /= chol[:, j, j, None]
 
 
-def _squared_norms(z: np.ndarray, out: np.ndarray) -> None:
-    """``out[i, k] = |z[i, k]|^2`` for an ``(m, K, dim)`` array ``z``, which
-    is squared in place. The first two squares are added straight into
-    ``out`` in one pass, which rounds as copying ``z0^2`` and then adding
-    ``z1^2`` does."""
-    np.square(z, out=z)
+def _unwhiten(z: np.ndarray, chol: np.ndarray, work: dict | None) -> None:
+    """In place: each ``dim``-vector of an ``(m, K, dim)`` array becomes
+    ``chol z``, the inverse of :func:`_whiten`; the last column is formed
+    first, so each one reads columns that are not yet overwritten. Its
+    ``(m, K)`` temporary is the workspace's ``"row"`` buffer."""
+    tmp = _empty(work, "row", z.shape[:2])
+    for j in reversed(range(z.shape[2])):
+        z[:, :, j] *= chol[:, j, j, None]
+        for i in range(j):
+            np.multiply(z[:, :, i], chol[:, j, i, None], out=tmp)
+            z[:, :, j] += tmp
+
+
+def _squared_norms(z: np.ndarray, out: np.ndarray, work: dict | None = None) -> None:
+    """``out[i, k] = |z[i, k]|^2`` for an ``(m, K, dim)`` array ``z``.
+
+    With a workspace ``work`` the squares go to its buffer ``"sq"`` and
+    ``z`` is left as it is; without one ``z`` is squared in place, so no
+    array of its size is allocated. The first two squares are added
+    straight into ``out`` in one pass, which rounds as copying ``z0^2``
+    and then adding ``z1^2`` does.
+    """
+    sq = z if work is None else _empty(work, "sq", z.shape)
+    np.square(z, out=sq)
     if z.shape[2] == 1:
-        out[...] = z[:, :, 0]
+        out[...] = sq[:, :, 0]
     else:
-        np.add(z[:, :, 0], z[:, :, 1], out=out)
+        np.add(sq[:, :, 0], sq[:, :, 1], out=out)
     for j in range(2, z.shape[2]):
-        out += z[:, :, j]
+        out += sq[:, :, j]
 
 
 def _path(
@@ -141,9 +160,13 @@ def _path(
     one pass per pair of columns on their complex view, with the bits of a
     pass per column (see :func:`~momentcpt.estimator._column_pairs`).
     With a workspace ``work`` (see :func:`~momentcpt.estimator._empty`), the
-    whitening temporary and the returned ``(m, n + 1)`` path are its
-    buffers ``"row"`` and ``"path"``, which the next block overwrites;
-    without one they are allocated.
+    whitening temporary, the squares and the returned ``(m, n + 1)`` path
+    are its buffers ``"row"``, ``"sq"`` and ``"path"``, which the next
+    block overwrites, and ``centred`` is left holding the whitened sums
+    ``W_k = sum_{j <= k} (chol sqrt(n))^{-1} (psi_j - mean(theta))``,
+    ``k = 1..n``, from which :func:`_unwhiten` gives back ``n Z_n``;
+    without one they are allocated and ``centred`` is left holding the
+    squares of the sums.
     """
     m, n, d = centred.shape
     for col, res in zip(_column_pairs(centred), _column_pairs(r)):
@@ -155,7 +178,7 @@ def _path(
     np.cumsum(src, axis=1, out=src)
     path = _empty(work, "path", (m, n + 1))
     path[:, 0] = 0.0
-    _squared_norms(centred, path[:, 1:])
+    _squared_norms(centred, path[:, 1:], work)
     return path
 
 
@@ -164,8 +187,10 @@ class _Rows:
     """The test on each row of a block; ``errors[i]`` is set for a failed row.
 
     ``theta[i]`` is the row's moment estimate, ``means[i]`` its
-    ``mean(theta)``, ``t_stats[i]`` and ``u_hats[i] = k_hat[i] / n`` its
-    statistic and change fraction; ``theta``, ``t_stats`` and ``u_hats``
+    ``mean(theta)``, ``sigma[i]`` its plug-in covariance and ``chol[i]``
+    the lower Cholesky factor that whitened its path (of the identity for
+    a failed row); ``t_stats[i]`` and ``u_hats[i] = k_hat[i] / n`` are its
+    statistic and change fraction. ``theta``, ``t_stats`` and ``u_hats``
     are NaN for a failed row. ``theta`` is NaN only for a row whose fit
     failed, not for one that fails only the plug-in covariance check.
     """
@@ -173,6 +198,7 @@ class _Rows:
     theta: np.ndarray
     means: np.ndarray
     sigma: np.ndarray
+    chol: np.ndarray
     paths: np.ndarray
     k_hat: np.ndarray
     t_stats: np.ndarray
@@ -192,8 +218,10 @@ def _statistic(
     checks: finite moments (a ``ValueError``), then the
     :class:`~momentcpt.errors.EstimationError` of degeneracy, the fit and
     the plug-in covariance. A workspace ``work`` goes to the moment and
-    path stages, and then ``paths`` is its buffer; the other fields are
-    arrays of their own.
+    path stages, and then ``paths`` is its buffer, the other fields are
+    arrays of their own and ``moments`` is left holding each row's
+    whitened sums (see :func:`_path`); without one ``moments`` holds
+    their squares.
     """
     m, n = block.shape
     fit = _fit(block, moments, model, work)
@@ -205,16 +233,19 @@ def _statistic(
             errors[i] = SingularCovariance(_SINGULAR_SIGMA)
 
     ok = np.array([e is None for e in errors])
-    whiten = np.where(ok[:, None, None], sigma, np.eye(model.dim))
-    paths = _path(fit.centred, r, np.linalg.cholesky(whiten), work)
+    chol = np.linalg.cholesky(np.where(ok[:, None, None], sigma, np.eye(model.dim)))
+    paths = _path(fit.centred, r, chol, work)
     k_hat = np.argmax(paths, axis=1)
     t_stats = np.where(ok, paths[np.arange(m), k_hat], np.nan)
     u_hats = np.where(ok, k_hat / n, np.nan)
-    return _Rows(fit.theta, fit.means, sigma, paths, k_hat, t_stats, u_hats, errors)
+    return _Rows(
+        fit.theta, fit.means, sigma, chol, paths, k_hat, t_stats, u_hats, errors
+    )
 
 
 def build_state(data, model: MomentModel) -> ZProcessState:
-    """Precompute prefix sums of ``psi`` so any Z_n(u, theta) is O(dim).
+    """The moments of ``data`` centred at their average, for :func:`z_at`
+    and :func:`t_path`.
 
     Raises
     ------
@@ -224,12 +255,10 @@ def build_state(data, model: MomentModel) -> ZProcessState:
         are the samples that :func:`run_test` rejects with the same error.
     """
     data = _as_sample(data, 1)
-    moments = _psi(data[None], model)
-    prefix = _prefix(moments)
-    centred, psi_bar, _, errors = _moments(data[None], moments)
+    centred, psi_bar, _, errors = _moments(data[None], _psi(data[None], model))
     if errors[0] is not None:
         raise errors[0]
-    return ZProcessState(data.shape[0], model.dim, prefix[0], centred[0], psi_bar[0])
+    return ZProcessState(data.shape[0], model.dim, centred[0], psi_bar[0])
 
 
 def _state_mean(state: ZProcessState, theta, model: MomentModel) -> np.ndarray:
@@ -243,7 +272,13 @@ def _state_mean(state: ZProcessState, theta, model: MomentModel) -> np.ndarray:
 
 
 def z_at(state: ZProcessState, u: float, theta, model: MomentModel) -> np.ndarray:
-    """Evaluate ``Z_n(u, theta) = (S_k - k * mean(theta)) / n``, k=floor(un).
+    """Evaluate ``Z_n(u, theta)`` at ``k = floor(u n)``.
+
+    The increments ``psi(X_j) - mean(theta)`` are split as the centred
+    moments plus the residual ``psi_bar - mean(theta)``, so ``Z_n`` is
+    ``(sum_{j <= k} centred[j - 1] + k * (psi_bar - mean(theta))) / n``
+    and no raw sum of moments has ``k * mean(theta)`` subtracted from it.
+    It takes O(k dim) operations.
 
     Raises
     ------
@@ -257,7 +292,7 @@ def z_at(state: ZProcessState, u: float, theta, model: MomentModel) -> np.ndarra
         raise ValueError(f"u must lie in [0, 1], got {u!r}")
     k = _floor_index(float(u), state.n)
     mean = _state_mean(state, theta, model)
-    return (state.prefix[k] - k * mean) / state.n
+    return (state.centred[:k].sum(axis=0) + k * (state.psi_bar - mean)) / state.n
 
 
 def sigma_hat(data, theta, model: MomentModel) -> np.ndarray:
@@ -316,8 +351,9 @@ def t_path(
     OutOfDomain
         If theta lies outside the domain of the model.
     ValueError
-        If sigma is not a finite ``(dim, dim)`` array, the state was built
-        for a model of another dimension, or ``mean(theta)`` or the path is
+        If sigma is not a finite ``(dim, dim)`` array, symmetric to within
+        1e-12 of its largest entry, the state was built for a model of
+        another dimension, or ``mean(theta)`` or the path is
         not finite.
     SingularCovariance
         If the correlation matrix of sigma has condition number above 1e12.
@@ -329,6 +365,9 @@ def t_path(
             f"sigma must be a finite ({model.dim}, {model.dim}) array, "
             f"got shape {sigma.shape}"
         )
+    # the Cholesky factor reads only the lower triangle
+    if np.abs(sigma - sigma.T).max() > 1e-12 * np.abs(sigma).max():
+        raise ValueError(f"sigma must be symmetric, got {sigma.tolist()}")
     if _ill_conditioned(sigma):
         raise SingularCovariance(_SINGULAR_SIGMA)
     r = state.psi_bar - mean

@@ -232,7 +232,7 @@ def test_criterion_07_estimating_equation_identity():
             continue
         state = build_state(data, model)
         residual = float(np.linalg.norm(z_at(state, 1.0, fit.theta, model)))
-        psi_bar = float(np.linalg.norm(state.prefix[-1] / state.n))
+        psi_bar = float(np.linalg.norm(state.psi_bar))
         bound = 1e-8 * (1.0 + psi_bar)
         if residual > bound:
             ok = False

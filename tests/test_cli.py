@@ -398,6 +398,18 @@ class TestCritvalCommand:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("option", ["--dim", "--level"])
+    @pytest.mark.parametrize("value", ["", ","], ids=["empty", "comma"])
+    def test_an_empty_list_is_a_usage_error(self, tmp_path, capsys, option, value):
+        out = tmp_path / "cv.txt"
+        argv = ["critval", "--dim", "1", "--level", "0.05", "--out", str(out)]
+        argv[argv.index(option) + 1] = value
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert f"argument {option}: need at least one value" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     @pytest.fixture

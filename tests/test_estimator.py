@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from momentcpt import (
     NoConvergence,
     OutOfDomain,
     SingularJacobian,
+    detect,
     exponential_model,
     gamma_model,
     get_model,
@@ -313,3 +315,18 @@ def test_block_fit_gives_each_failed_row_its_own_error(how):
             assert np.array_equal(theta, alone.theta)
             assert residual == alone.residual_norm
     assert 0 < failed < len(block)
+
+
+@pytest.mark.parametrize(
+    "psi,got",
+    [(lambda v: np.vstack([v, v * v]), "(2, 200)"), (lambda v: v[:, None], "(200, 1)")],
+    ids=["transposed", "one-column"],
+)
+def test_a_psi_of_the_wrong_shape_is_named(psi, got):
+    # a (dim, n) or (n, 1) result is not reshaped into moments
+    model = dataclasses.replace(gamma_model(), psi=psi)
+    x = np.random.default_rng(2).gamma(2.0, 1.0, 200)
+    expected = re.escape(f"psi of model 'gamma' must return shape (200, 2), got {got}")
+    for call in (mme, detect):
+        with pytest.raises(ValueError, match=expected):
+            call(x, model)

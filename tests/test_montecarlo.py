@@ -26,7 +26,6 @@ from momentcpt import (
     affine_transform,
     alternative_oracle,
     bernoulli_model,
-    build_state,
     consistency_diagnostics,
     exponential_model,
     gamma_model,
@@ -679,9 +678,10 @@ class TestSweep:
 
 
 def test_sup_zn_gap_holds_one_block_of_sums():
-    # one block of 4 rows: per observation the sample and the path take 8 B
-    # each, the moments and the raw prefix sums 16 B each, and the row
-    # buffer 8 B; the gap is squared into the spent path, not a new array
+    # one block of 4 rows: per observation the sample, the path and the row
+    # buffer take 8 B each, and the moments, which end as the whitened sums
+    # that the gap is formed from in place, and the path's squares 16 B
+    # each; the gap is squared into the spent path, not a new array
     n = 2**17
     tracemalloc.start()
     try:
@@ -689,7 +689,7 @@ def test_sup_zn_gap_holds_one_block_of_sums():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (4 * n) <= 80
+    assert peak / (4 * n) <= 64
 
 
 class TestConfigFiles:
@@ -752,11 +752,16 @@ class TestConfigFiles:
 
 
 def _gap_replay(model, theta0, theta1, ustar, n, reps, seed):
-    """``sup_zn_gap`` redone one replication at a time from public pieces."""
+    """``sup_zn_gap`` redone one replication at a time from public pieces.
+
+    Each ``Z_n`` is summed from the increments ``psi(X_k) - mean(theta)`` in
+    ``np.longdouble``, so the replay's rounding stays below the library's
+    where ``longdouble`` is wider than ``double``.
+    """
     drift = alternative_oracle(model, theta0, theta1 or theta0, ustar).drift(
-        np.arange(n + 1) / n
+        np.arange(1, n + 1) / n
     )
-    ks = np.arange(n + 1, dtype=float)[:, None]
+    wide = np.longdouble
     gaps, failed = [], 0
     for child in np.random.SeedSequence([seed, n]).spawn(reps):
         rng = np.random.default_rng(child)
@@ -766,9 +771,9 @@ def _gap_replay(model, theta0, theta1, ustar, n, reps, seed):
         except EstimationError:
             failed += 1
             continue
-        prefix = build_state(data, model).prefix
-        z = (prefix - ks * model.mean(fit.theta)) / n
-        gaps.append(float(np.linalg.norm(z - drift, axis=1).max()))
+        increments = model.psi(data).astype(wide) - model.mean(fit.theta).astype(wide)
+        z = np.cumsum(increments, axis=0) / n - drift
+        gaps.append(float(np.sqrt((z * z).sum(axis=1).max())))
     return math.fsum(gaps) / len(gaps), failed
 
 
@@ -776,6 +781,10 @@ GAP_CASES = {
     "exponential_null": (exponential_model(), (1.0,), None, 0.5, 250, 300, 60),
     "gamma_change": (gamma_model(), (1.0, 0.01), (1.0, 0.05), 0.75, 300, 80, 3),
     "bernoulli_n8": (bernoulli_model(), (0.2,), None, 0.5, 8, 60, 5),
+    # raw sums of x^2 reach 2e14, and subtracting k mean(theta) cancels
+    "normal_far_from_zero": (
+        normal_model(), (1e5, 1.0), (1e5 + 0.05, 1.0), 0.5, 20_000, 20, 1
+    ),
 }
 
 
@@ -783,7 +792,8 @@ GAP_CASES = {
 def test_sup_zn_gap_matches_a_per_replication_replay(name):
     model, theta0, theta1, ustar, n, reps, seed = GAP_CASES[name]
     expected, failed = _gap_replay(model, theta0, theta1, ustar, n, reps, seed)
-    assert sup_zn_gap(model, theta0, theta1, ustar, n=n, reps=reps, seed=seed) == expected
+    gap = sup_zn_gap(model, theta0, theta1, ustar, n=n, reps=reps, seed=seed)
+    assert abs(gap - expected) <= 1e-12 * expected
     if name == "bernoulli_n8":
         assert failed > 0  # failing rows are skipped, not averaged
 

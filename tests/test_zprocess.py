@@ -35,10 +35,13 @@ from conftest import SAFE_THETA, brute_force_path
 DATA_123 = np.array([1.0, 2.0, 3.0])
 
 
-def test_prefix_sums_of_gamma_moment_map():
+def test_centred_moments_of_gamma_moment_map():
+    # psi = (x, x^2) of 1, 2, 3 has the average (2, 14/3)
     state = build_state(DATA_123, gamma_model())
+    np.testing.assert_array_equal(state.psi_bar, [2.0, 14.0 / 3.0])
     np.testing.assert_array_equal(
-        state.prefix, [[0.0, 0.0], [1.0, 1.0], [3.0, 5.0], [6.0, 14.0]]
+        state.centred,
+        [[-1.0, 1.0 - 14.0 / 3.0], [0.0, 4.0 - 14.0 / 3.0], [1.0, 9.0 - 14.0 / 3.0]],
     )
     assert state.n == 3 and state.dim == 2
 
@@ -64,6 +67,34 @@ def test_z_at_one_vanishes_at_the_estimate():
     psi_bar = g.psi(data).mean(axis=0)
     z_end = z_at(state, 1.0, fit.theta, g)
     assert np.linalg.norm(z_end) <= 1e-8 * (1.0 + np.linalg.norm(psi_bar))
+
+
+def test_z_at_keeps_its_digits_far_from_zero():
+    # raw sums of x^2 reach 5e15 at u = 0.5, and subtracting k mean(theta)
+    # from them cancels all but a few digits of Z_n
+    g = normal_model()
+    n = 1_000_000
+    x = np.random.default_rng(5).normal(1e5, 1.0, n)
+    theta = mme(x, g).theta
+    z = z_at(build_state(x, g), 0.5, theta, g)
+    wide = np.longdouble
+    increments = g.psi(x[: n // 2]).astype(wide) - g.mean(theta).astype(wide)
+    ref = increments.sum(axis=0) / n
+    np.testing.assert_allclose(z, ref.astype(float), rtol=1e-12)
+
+
+def test_build_state_holds_the_moments_and_one_row_per_observation():
+    # gamma moments are 16 B per observation and the covariance's product
+    # row 8 B; the moments are centred in place
+    n = 2**18
+    data = np.random.default_rng(1).gamma(1.0, 100.0, n)
+    tracemalloc.start()
+    try:
+        build_state(data, gamma_model())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n < 26
 
 
 def test_sigma_hat_hand_value():
@@ -115,7 +146,7 @@ def test_t_path_equals_brute_force(name):
     np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=1e-12)
 
 
-def test_t_path_ridge_rescues_singular_covariance():
+def test_t_path_rejects_a_singular_sigma_and_takes_a_regularised_one():
     g = gamma_model()
     state = build_state(DATA_123, g)
     singular = np.array([[1.0, 1.0], [1.0, 1.0]])
@@ -477,8 +508,14 @@ def test_pieces_reject_theta_outside_the_domain(theta):
 
 @pytest.mark.parametrize(
     "sigma",
-    [np.full((2, 2), np.nan), np.array([[1.0, 0.0], [0.0, np.inf]]), np.eye(3), np.ones(2)],
-    ids=["nan", "inf", "3x3", "vector"],
+    [
+        np.full((2, 2), np.nan),
+        np.array([[1.0, 0.0], [0.0, np.inf]]),
+        np.eye(3),
+        np.ones(2),
+        np.array([[2.0, 0.0], [1.0, 2.0]]),
+    ],
+    ids=["nan", "inf", "3x3", "vector", "asymmetric"],
 )
 def test_t_path_rejects_a_sigma_that_is_not_finite_and_square(sigma):
     g = gamma_model()
