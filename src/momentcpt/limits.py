@@ -100,10 +100,9 @@ def simulate_bridge_sup(dim: int, grid: int, rng: np.random.Generator, size=None
 def _run_tasks(fn, tasks: list, jobs: int) -> list:
     """``[fn(task) for task in tasks]``, in up to ``jobs`` worker processes.
 
-    ``jobs`` below 2, or a single task, runs in-process; results keep the
+    ``jobs`` of 1, or a single task, runs in-process; results keep the
     order of ``tasks`` either way.
     """
-    jobs = max(1, int(jobs))
     if jobs == 1 or len(tasks) == 1:
         return [fn(task) for task in tasks]
     # imported here: the pool's module is a large part of the package's
@@ -249,9 +248,10 @@ def critical_value(
         Seed for the replication streams. The same seed gives identical
         results for any ``jobs``.
     jobs : int
-        Worker processes; 1 runs in-process.
+        Worker processes, at least 1; 1 runs in-process.
     """
     _check_integer("dim", dim, 1)
+    _check_integer("jobs", jobs, 1)
     _check_integer("replications", replications, 2)
     _check_integer("grid", grid, 1)
     # a number of any numeric type is one level, and so is a 0-d array

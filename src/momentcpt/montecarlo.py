@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EstimationError, SingularCovariance
-from .estimator import _empty, _norms, _psi, _solve
+from .estimator import _column_pairs, _empty, _norms, _psi, _solve
 from .limits import (
     _check_integer,
     _is_integer,
@@ -32,7 +32,7 @@ from .limits import (
     _threshold,
 )
 from .models import MomentModel, _ill_conditioned, _mean_at, get_model
-from .zprocess import _floor_index, _squared_norms, _statistic, _unwhiten
+from .zprocess import _floor_index, _running_sums, _squared_norms, _statistic
 
 __all__ = [
     "ExperimentConfig",
@@ -213,8 +213,7 @@ def _run_chunk(task):
     Every block of the task is drawn with one generator and tested in one
     workspace (see :func:`~momentcpt.estimator._empty`), which supplies the
     ``(rows, n)`` sample block, the ``(rows, n)`` row buffer of the moment
-    and whitening stages, the ``(rows, n, dim)`` squares of the path's sums
-    and the ``(rows, n + 1)`` path, so a task holds
+    and whitening stages and the ``(rows, n + 1)`` path, so a task holds
     one block's arrays however many blocks it has. The returned arrays are
     not in the workspace.
     """
@@ -250,16 +249,18 @@ def run_experiment(
     ``default_rng(SeedSequence([seed, n]).spawn(m)[i])``, so any replication
     can be replayed with public numpy; the streams themselves are computed
     in array steps. The result is reproducible for a fixed config and
-    identical for any ``jobs`` value. The critical value comes from
-    ``table``, None for the packaged table or the path of a table file,
-    and is checked as :func:`~momentcpt.zprocess.run_test` checks it.
+    identical for any ``jobs``, the number of worker processes (at least
+    1; 1 runs in-process). The critical value comes from ``table``, None
+    for the packaged table or the path of a table file, and is checked as
+    :func:`~momentcpt.zprocess.run_test` checks it.
     """
+    _check_integer("jobs", jobs, 1)
     model = get_model(config.model)
     crit = _threshold(model.dim, config.level, table=table)
     blocks = _seed_blocks(config.seed, config.n, config.m)
     # one task of consecutive blocks per worker, so each worker reuses one
     # workspace
-    size = -(-len(blocks) // max(1, int(jobs)))
+    size = -(-len(blocks) // jobs)
     tasks = [
         (config.model, config.theta0, config.theta1, config.ustar, config.n, blocks[i : i + size])
         for i in range(0, len(blocks), size)
@@ -425,28 +426,34 @@ def _gap_pass(model, oracle, theta0, theta1, n, reps, seed):
     under ``theta1`` from ``oracle.ustar`` on unless ``theta1`` is None,
     and tested on the statistic core with one generator and one workspace,
     as :func:`_run_chunk` does. Each row's gap
-    ``sup_k |Z_n(k/n, theta_hat) - oracle.drift(k/n)|`` comes from the
-    test's own whitened sums ``W_k``, which the statistic core leaves in
-    the moment array: ``Z_n(k/n) = chol W_k / sqrt(n)`` with the row's
-    whitening factor ``chol`` (:func:`~momentcpt.zprocess._unwhiten`).
-    Yields per block the ``u_hats`` and ``t_stats`` of every row and the
-    gaps of the rows whose fit succeeded; a row that fails only the
-    plug-in covariance check has a gap.
+    ``sup_k |Z_n(k/n, theta_hat) - oracle.drift(k/n)|`` is formed from a
+    copy of the block's moments, taken in the workspace buffer ``"psi"``
+    before the statistic core centres them: ``n Z_n(k/n)`` is the running
+    sum of the increments ``psi(X_j) - mean(theta_hat)``, which round once
+    each, and no raw sum of moments has ``k * mean(theta_hat)`` subtracted
+    from it. Yields per block the ``u_hats`` and ``t_stats`` of every row
+    and the gaps of the rows whose fit succeeded; a row that fails only
+    the plug-in covariance check has a gap.
     """
     drift = oracle.drift(np.arange(1, n + 1) / n)
     rng, work = np.random.Generator(np.random.PCG64()), {}
     for streams in _seed_blocks(seed, n, reps):
         block = _sample_block(model, theta0, theta1, oracle.ustar, n, streams, rng, work)
         moments = _psi(block, model)
+        z = _empty(work, "psi", moments.shape)
+        z[...] = moments
         rows = _statistic(block, moments, model, work)
         # the gap of a failed row, which is left out, may overflow
         with np.errstate(over="ignore", invalid="ignore"):
-            # Z_n - drift in place over the sums, k = 1..n; at k = 0 both
+            # Z_n - drift in place over the copy, k = 1..n; at k = 0 both
             # are zero, as is the path there
-            _unwhiten(moments, rows.chol / math.sqrt(n), work)
-            moments -= drift
+            for col, mean in zip(_column_pairs(z), _column_pairs(rows.means)):
+                col -= mean[:, None]
+            _running_sums(z)
+            z /= n
+            z -= drift
             # squared into the path buffer, which the test no longer reads
-            _squared_norms(moments, rows.paths[:, 1:])
+            _squared_norms(z, rows.paths[:, 1:])
         yield rows.u_hats, rows.t_stats, [
             math.sqrt(path.max())
             for path, theta in zip(rows.paths, rows.theta)

@@ -32,11 +32,7 @@ run once per pair of moment columns on their complex view (see
 componentwise, so they give the bits of a pass per column.
 :func:`run_test` and :func:`detect` are its one-row case and the
 experiment harness feeds it whole blocks of replications; a row's results
-do not depend on the other rows. With a workspace, the core leaves the
-whitened sums in the moment array, and the sup-gap sweep of
-:mod:`momentcpt.montecarlo` turns them back into ``Z_n`` with
-:func:`_unwhiten`, so ``Z_n`` is summed one way for the test and the
-sweep alike. The public pieces :func:`build_state`,
+do not depend on the other rows. The public pieces :func:`build_state`,
 :func:`sigma_hat`, :func:`t_path` and :func:`z_at` wrap the same stages:
 ``mme -> sigma_hat -> build_state -> t_path`` reproduces the estimate,
 covariance and path of :func:`run_test` bit for bit, as the state keeps the
@@ -113,36 +109,32 @@ def _whiten(z: np.ndarray, chol: np.ndarray, work: dict | None) -> None:
         z[:, :, j] /= chol[:, j, j, None]
 
 
-def _unwhiten(z: np.ndarray, chol: np.ndarray, work: dict | None) -> None:
-    """In place: each ``dim``-vector of an ``(m, K, dim)`` array becomes
-    ``chol z``, the inverse of :func:`_whiten`; the last column is formed
-    first, so each one reads columns that are not yet overwritten. Its
-    ``(m, K)`` temporary is the workspace's ``"row"`` buffer."""
-    tmp = _empty(work, "row", z.shape[:2])
-    for j in reversed(range(z.shape[2])):
-        z[:, :, j] *= chol[:, j, j, None]
-        for i in range(j):
-            np.multiply(z[:, :, i], chol[:, j, i, None], out=tmp)
-            z[:, :, j] += tmp
-
-
-def _squared_norms(z: np.ndarray, out: np.ndarray, work: dict | None = None) -> None:
+def _squared_norms(z: np.ndarray, out: np.ndarray) -> None:
     """``out[i, k] = |z[i, k]|^2`` for an ``(m, K, dim)`` array ``z``.
 
-    With a workspace ``work`` the squares go to its buffer ``"sq"`` and
-    ``z`` is left as it is; without one ``z`` is squared in place, so no
-    array of its size is allocated. The first two squares are added
-    straight into ``out`` in one pass, which rounds as copying ``z0^2``
-    and then adding ``z1^2`` does.
+    ``z`` is squared in place, so no array of its size is allocated. The
+    first two squares are added straight into ``out`` in one pass, which
+    rounds as copying ``z0^2`` and then adding ``z1^2`` does.
     """
-    sq = z if work is None else _empty(work, "sq", z.shape)
-    np.square(z, out=sq)
+    np.square(z, out=z)
     if z.shape[2] == 1:
-        out[...] = sq[:, :, 0]
+        out[...] = z[:, :, 0]
     else:
-        np.add(sq[:, :, 0], sq[:, :, 1], out=out)
+        np.add(z[:, :, 0], z[:, :, 1], out=out)
     for j in range(2, z.shape[2]):
-        out += sq[:, :, j]
+        out += z[:, :, j]
+
+
+def _running_sums(z: np.ndarray) -> None:
+    """In place: ``z[:, k]`` becomes ``z[:, 0] + ... + z[:, k]`` for an
+    ``(m, K, dim)`` array ``z``.
+
+    Complex addition is componentwise, so for an even ``dim`` each pair of
+    columns is summed in one pass on its complex view, with the roundings
+    of two real passes.
+    """
+    src = z.view(complex) if z.shape[2] % 2 == 0 else z
+    np.cumsum(src, axis=1, out=src)
 
 
 def _path(
@@ -155,30 +147,23 @@ def _path(
     ``centred + r`` are the increments ``psi_k - mean(theta)`` of ``n Z_n``.
     In place, each increment is whitened by forward substitution with
     ``chol * sqrt(n)``, the whitened increments are summed in sequence, and
-    the squared norms of the sums are the path; ``centred`` is overwritten.
-    ``r`` is added, and for an even ``dim`` the increments are summed, in
-    one pass per pair of columns on their complex view, with the bits of a
-    pass per column (see :func:`~momentcpt.estimator._column_pairs`).
-    With a workspace ``work`` (see :func:`~momentcpt.estimator._empty`), the
-    whitening temporary, the squares and the returned ``(m, n + 1)`` path
-    are its buffers ``"row"``, ``"sq"`` and ``"path"``, which the next
-    block overwrites, and ``centred`` is left holding the whitened sums
-    ``W_k = sum_{j <= k} (chol sqrt(n))^{-1} (psi_j - mean(theta))``,
-    ``k = 1..n``, from which :func:`_unwhiten` gives back ``n Z_n``;
-    without one they are allocated and ``centred`` is left holding the
-    squares of the sums.
+    the squared norms of the sums are the path; ``centred`` is left
+    holding the squares of the sums. ``r`` is added, and for an even
+    ``dim`` the increments are summed, in one pass per pair of columns on
+    their complex view, with the bits of a pass per column (see
+    :func:`~momentcpt.estimator._column_pairs`). With a workspace ``work``
+    (see :func:`~momentcpt.estimator._empty`), the whitening temporary and
+    the returned ``(m, n + 1)`` path are its buffers ``"row"`` and
+    ``"path"``, which the next block overwrites.
     """
-    m, n, d = centred.shape
+    m, n, _ = centred.shape
     for col, res in zip(_column_pairs(centred), _column_pairs(r)):
         col += res[:, None]
     _whiten(centred, chol * math.sqrt(n), work)
-    # complex addition is componentwise, so each pair of columns is summed
-    # in one pass with the same roundings as two real passes
-    src = centred.view(complex) if d % 2 == 0 else centred
-    np.cumsum(src, axis=1, out=src)
+    _running_sums(centred)
     path = _empty(work, "path", (m, n + 1))
     path[:, 0] = 0.0
-    _squared_norms(centred, path[:, 1:], work)
+    _squared_norms(centred, path[:, 1:])
     return path
 
 
@@ -187,18 +172,16 @@ class _Rows:
     """The test on each row of a block; ``errors[i]`` is set for a failed row.
 
     ``theta[i]`` is the row's moment estimate, ``means[i]`` its
-    ``mean(theta)``, ``sigma[i]`` its plug-in covariance and ``chol[i]``
-    the lower Cholesky factor that whitened its path (of the identity for
-    a failed row); ``t_stats[i]`` and ``u_hats[i] = k_hat[i] / n`` are its
-    statistic and change fraction. ``theta``, ``t_stats`` and ``u_hats``
-    are NaN for a failed row. ``theta`` is NaN only for a row whose fit
-    failed, not for one that fails only the plug-in covariance check.
+    ``mean(theta)`` and ``sigma[i]`` its plug-in covariance;
+    ``t_stats[i]`` and ``u_hats[i] = k_hat[i] / n`` are its statistic and
+    change fraction. ``theta``, ``t_stats`` and ``u_hats`` are NaN for a
+    failed row. ``theta`` is NaN only for a row whose fit failed, not for
+    one that fails only the plug-in covariance check.
     """
 
     theta: np.ndarray
     means: np.ndarray
     sigma: np.ndarray
-    chol: np.ndarray
     paths: np.ndarray
     k_hat: np.ndarray
     t_stats: np.ndarray
@@ -217,11 +200,10 @@ def _statistic(
     :func:`run_test` raises for that sample alone, in the same order of
     checks: finite moments (a ``ValueError``), then the
     :class:`~momentcpt.errors.EstimationError` of degeneracy, the fit and
-    the plug-in covariance. A workspace ``work`` goes to the moment and
-    path stages, and then ``paths`` is its buffer, the other fields are
-    arrays of their own and ``moments`` is left holding each row's
-    whitened sums (see :func:`_path`); without one ``moments`` holds
-    their squares.
+    the plug-in covariance. ``moments`` is left holding the squares of
+    each row's whitened sums (see :func:`_path`). A workspace ``work``
+    goes to the moment and path stages, and then ``paths`` is its buffer
+    and the other fields are arrays of their own.
     """
     m, n = block.shape
     fit = _fit(block, moments, model, work)
@@ -238,9 +220,7 @@ def _statistic(
     k_hat = np.argmax(paths, axis=1)
     t_stats = np.where(ok, paths[np.arange(m), k_hat], np.nan)
     u_hats = np.where(ok, k_hat / n, np.nan)
-    return _Rows(
-        fit.theta, fit.means, sigma, chol, paths, k_hat, t_stats, u_hats, errors
-    )
+    return _Rows(fit.theta, fit.means, sigma, paths, k_hat, t_stats, u_hats, errors)
 
 
 def build_state(data, model: MomentModel) -> ZProcessState:

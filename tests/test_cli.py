@@ -476,6 +476,14 @@ class TestSimulateCommand:
         second = capsys.readouterr().out
         assert first == second
 
+    @pytest.mark.parametrize("command", ["critval", "simulate"])
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_jobs_below_one_is_an_error(self, config_file, capsys, command, jobs):
+        args = ["--dim", "1", "--replications", "100", "--grid", "10"]
+        argv = [command, *(args if command == "critval" else [config_file])]
+        assert main([*argv, "--jobs", jobs]) == 1
+        assert f"error: jobs must be an integer >= 1, got {jobs}" in capsys.readouterr().err
+
     def test_invalid_config_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text('{"model": "gamma", "theta0": [1, 1], "n": 50, "m": 0}')

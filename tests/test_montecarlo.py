@@ -219,6 +219,15 @@ class TestRunExperiment:
             serial.histogram_counts, parallel.histogram_counts
         )
 
+    @pytest.mark.parametrize("jobs", [0, -5, 1.5, True])
+    def test_bad_jobs_are_rejected_before_any_work(self, monkeypatch, jobs):
+        monkeypatch.setattr(montecarlo, "_run_tasks", lambda *args: pytest.fail("ran"))
+        monkeypatch.setattr(limits, "_run_tasks", lambda *args: pytest.fail("ran"))
+        with pytest.raises(ValueError, match=r"^jobs must be an integer >= 1"):
+            run_experiment(make_config(), jobs=jobs)
+        with pytest.raises(ValueError, match=r"^jobs must be an integer >= 1"):
+            limits.critical_value(1, 0.05, replications=100, grid=10, jobs=jobs)
+
     def test_no_change_experiment_has_no_location_stats(self):
         result = run_experiment(make_config(m=25))
         assert result.u_hat_mean is None
@@ -677,11 +686,28 @@ class TestSweep:
             consistency_diagnostics(config, (100, 2.5))
 
 
+def test_run_experiment_holds_one_block_of_moments():
+    # one block of 250 rows: per observation the sample, the row buffer and
+    # the path take 8 B each and the moments 16 B, which the path is summed
+    # and squared in
+    config = ExperimentConfig(
+        model="gamma", theta0=(1.0, 0.01), theta1=(1.0, 0.05), ustar=0.75, n=2000, m=250, seed=1
+    )
+    tracemalloc.start()
+    try:
+        run_experiment(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (config.m * config.n) < 42
+
+
 def test_sup_zn_gap_holds_one_block_of_sums():
     # one block of 4 rows: per observation the sample, the path and the row
-    # buffer take 8 B each, and the moments, which end as the whitened sums
-    # that the gap is formed from in place, and the path's squares 16 B
-    # each; the gap is squared into the spent path, not a new array
+    # buffer take 8 B each, and the moments, which the test's path is
+    # summed and squared in, and their copy, in which Z_n - drift is summed
+    # and squared, 16 B each; the gap is squared into the spent path, not a
+    # new array
     n = 2**17
     tracemalloc.start()
     try:

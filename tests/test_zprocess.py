@@ -410,6 +410,23 @@ def test_chunked_stages_fail_a_row_as_a_whole_one_does(chunk):
     assert isinstance(rows.errors[4], DegenerateSample)
 
 
+def test_a_workspace_changes_no_result():
+    # a workspace decides only where the arrays live: the statistic and the
+    # moments it leaves behind are those of a run without one
+    g = gamma_model()
+    block = _failing_block()
+    runs = []
+    for work in ({}, None):
+        moments = zprocess._psi(block, g)
+        runs.append((zprocess._statistic(block, moments, g, work), moments))
+    (shared, left), (fresh, right) = runs
+    for name in ("paths", "t_stats", "u_hats", "theta", "sigma"):
+        assert np.array_equal(getattr(shared, name), getattr(fresh, name), equal_nan=True), name
+    assert [repr(e) for e in shared.errors] == [repr(e) for e in fresh.errors]
+    assert any(e is not None for e in fresh.errors)
+    assert np.array_equal(left, right, equal_nan=True)
+
+
 def test_run_test_holds_the_moments_and_one_row_per_observation():
     # gamma moments are 16 B per observation and the path 8 B; the whitened
     # increments are summed in place in the moments, and the whitening
