@@ -84,9 +84,15 @@ def newton_solve(target, model: MomentModel, theta_init) -> MMEResult:
     OutOfDomain
         If ``theta_init`` is outside the domain.
     ValueError
-        If ``target`` holds a value that is not finite.
+        If ``target`` does not have shape ``(model.dim,)`` or holds a value
+        that is not finite, before any iteration.
     """
     target = np.asarray(target, dtype=float)
+    if target.shape != (model.dim,):
+        raise ValueError(
+            f"target must have shape {(model.dim,)} for model {model.name!r}, "
+            f"got {target.shape}"
+        )
     if not np.isfinite(target).all():
         raise ValueError(f"target {target.tolist()} is not finite")
     theta = model.require(theta_init).copy()
@@ -194,20 +200,20 @@ def _psi(block: np.ndarray, model: MomentModel) -> np.ndarray:
     return moments.reshape(m, n, model.dim)
 
 
-def _empty(work: dict | None, name: str, shape: tuple) -> np.ndarray:
-    """An uninitialised float array of ``shape``, fresh or from a workspace.
+def _empty(work: dict, name: str, shape: tuple) -> np.ndarray:
+    """An uninitialised float array of ``shape`` from the workspace ``work``.
 
-    A workspace ``work`` is a dict that the blocks of one experiment task,
-    or of one sweep step, share: the array is then a C-contiguous view of
-    the front of its buffer ``name``, which is allocated only when a
-    request is larger than every earlier one, so blocks after a task's
-    first, largest one allocate no such array. The view holds what the
-    last user of ``name`` left there.
+    A workspace is a dict that the blocks of one experiment task, or of
+    one sweep step, share; a single sample gets a fresh one. The array
+    is a C-contiguous view of the front of its buffer ``name``, which is
+    allocated only when a request is larger than every earlier one, so
+    blocks after a task's first, largest one allocate no such array. A
+    buffer that grows is dropped before its successor is allocated. The
+    view holds what the last user of ``name`` left there.
     """
-    if work is None:
-        return np.empty(shape)
     size = math.prod(shape)
     if name not in work or work[name].size < size:
+        work.pop(name, None)
         work[name] = np.empty(size)
     return work[name][:size].reshape(shape)
 
@@ -228,7 +234,7 @@ def _column_pairs(a: np.ndarray) -> list:
     return pairs + [a[..., -1]] * (d % 2)
 
 
-def _moments(block: np.ndarray, moments: np.ndarray, work: dict | None = None):
+def _moments(block: np.ndarray, moments: np.ndarray, work: dict):
     """The moment stage for every row of an ``(m, n)`` block of samples.
 
     ``moments`` are the block's moments from :func:`_psi`; they are centred
@@ -242,8 +248,8 @@ def _moments(block: np.ndarray, moments: np.ndarray, work: dict | None = None):
     moments, ``psi_bar`` and covariance are zeroed so that the later stages
     stay finite. Each value is a sum over one row, so a row's values do not
     depend on the other rows of the block. The ``(m, n)`` product row that
-    the covariance is summed from comes from the workspace ``work`` (the
-    buffer ``"row"``, see :func:`_empty`), or is allocated without one.
+    the covariance is summed from is the workspace ``work``'s buffer
+    ``"row"`` (see :func:`_empty`).
 
     The row and column of a constant moment are exactly zero: ``psi_bar``
     carries the rounding of its sum, so centring would leave a spurious
@@ -394,14 +400,14 @@ class _BlockFit:
 
 
 def _fit(
-    block: np.ndarray, moments: np.ndarray, model: MomentModel, work: dict | None = None
+    block: np.ndarray, moments: np.ndarray, model: MomentModel, work: dict
 ) -> _BlockFit:
     """The moment estimate for every row of an ``(m, n)`` block of samples.
 
     Runs the moment stage :func:`_moments` on the block's moments from
-    :func:`_psi`, with the workspace ``work`` if one is given, checks each
-    row's centred covariance for degeneracy, then solves the rows that
-    passed with :func:`_solve`, which gives a failed row its own error.
+    :func:`_psi`, in the workspace ``work``, checks each row's centred
+    covariance for degeneracy, then solves the rows that passed with
+    :func:`_solve`, which gives a failed row its own error.
     """
     centred, psi_bar, cov, errors = _moments(block, moments, work)
     for i in np.flatnonzero(_ill_conditioned(cov)):
@@ -443,7 +449,7 @@ def mme(data, model: MomentModel) -> MMEResult:
         neither ``inverse_mean`` nor ``init_guess``.
     """
     data = _as_sample(data, model.dim + 1)
-    fit = _fit(data[None], _psi(data[None], model), model)
+    fit = _fit(data[None], _psi(data[None], model), model, {})
     if fit.errors[0] is not None:
         raise fit.errors[0]
     method = "newton" if model.inverse_mean is None else "closed_form"

@@ -212,10 +212,10 @@ def _run_chunk(task):
 
     Every block of the task is drawn with one generator and tested in one
     workspace (see :func:`~momentcpt.estimator._empty`), which supplies the
-    ``(rows, n)`` sample block, the ``(rows, n)`` row buffer of the moment
-    and whitening stages and the ``(rows, n + 1)`` path, so a task holds
-    one block's arrays however many blocks it has. The returned arrays are
-    not in the workspace.
+    ``(rows, n)`` sample block and one scratch row, which the moment and
+    whitening stages use and which ends as the ``(rows, n + 1)`` path, so
+    a task holds one block's arrays however many blocks it has. The
+    returned arrays are not in the workspace.
     """
     (model_name, theta0, theta1, ustar, n, blocks) = task
     model = get_model(model_name)
@@ -431,9 +431,11 @@ def _gap_pass(model, oracle, theta0, theta1, n, reps, seed):
     before the statistic core centres them: ``n Z_n(k/n)`` is the running
     sum of the increments ``psi(X_j) - mean(theta_hat)``, which round once
     each, and no raw sum of moments has ``k * mean(theta_hat)`` subtracted
-    from it. Yields per block the ``u_hats`` and ``t_stats`` of every row
-    and the gaps of the rows whose fit succeeded; a row that fails only
-    the plug-in covariance check has a gap.
+    from it. The gap is squared into the spent path, so a block holds its
+    sample, its moments, their copy and one scratch row. Yields per block
+    the ``u_hats`` and ``t_stats`` of every row and the gaps of the rows
+    whose fit succeeded; a row that fails only the plug-in covariance
+    check has a gap.
     """
     drift = oracle.drift(np.arange(1, n + 1) / n)
     rng, work = np.random.Generator(np.random.PCG64()), {}
@@ -452,7 +454,7 @@ def _gap_pass(model, oracle, theta0, theta1, n, reps, seed):
             _running_sums(z)
             z /= n
             z -= drift
-            # squared into the path buffer, which the test no longer reads
+            # squared into the path, which the test no longer reads
             _squared_norms(z, rows.paths[:, 1:])
         yield rows.u_hats, rows.t_stats, [
             math.sqrt(path.max())
@@ -474,11 +476,14 @@ def consistency_diagnostics(
     :class:`ConsistencyRow`. When the model and the alternative are
     specified correctly, the location error and the sup-gap shrink toward
     zero as n grows and the fraction above half the bound tends to one.
-    Requires a change experiment; each size must be a valid ``n`` of the
-    config.
+    Requires a change experiment and at least one size; each size must be
+    a valid ``n`` of the config.
 
     Raises
     ------
+    ValueError
+        If the config has no change or ``n_values`` is empty, before any
+        sampling, or if a size is not a valid ``n``.
     EstimationError
         If every replication at some size fails.
     """
@@ -487,6 +492,9 @@ def consistency_diagnostics(
             "consistency diagnostics need a change experiment; set "
             "'theta1' and 'ustar' in the config"
         )
+    n_values = tuple(n_values)
+    if not n_values:
+        raise ValueError("n_values must hold at least one sample size, got ()")
     model = get_model(config.model)
     oracle = alternative_oracle(model, config.theta0, config.theta1, config.ustar)
     rows = []

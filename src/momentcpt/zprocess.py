@@ -96,11 +96,12 @@ def _plug_in(cov: np.ndarray, r: np.ndarray) -> np.ndarray:
     return cov + r[:, :, None] * r[:, None, :]
 
 
-def _whiten(z: np.ndarray, chol: np.ndarray, work: dict | None) -> None:
+def _whiten(z: np.ndarray, chol: np.ndarray, work: dict) -> None:
     """In place: each ``dim``-vector of an ``(m, K, dim)`` array becomes
     ``chol^{-1} z``, by forward substitution with the ``(m, dim, dim)``
-    lower factors ``chol``. Its ``(m, K)`` temporary is the workspace's
-    ``"row"`` buffer, free once ``_moments`` has summed its product rows."""
+    lower factors ``chol``. Its ``(m, K)`` temporary is the workspace
+    ``work``'s buffer ``"row"``, free once ``_moments`` has summed its
+    product rows."""
     tmp = _empty(work, "row", z.shape[:2])
     for j in range(z.shape[2]):
         for i in range(j):
@@ -137,9 +138,7 @@ def _running_sums(z: np.ndarray) -> None:
     np.cumsum(src, axis=1, out=src)
 
 
-def _path(
-    centred: np.ndarray, r: np.ndarray, chol: np.ndarray, work: dict | None = None
-) -> np.ndarray:
+def _path(centred: np.ndarray, r: np.ndarray, chol: np.ndarray, work: dict) -> np.ndarray:
     """Statistic paths ``t[k] = n Z_n' sigma^{-1} Z_n``, ``k = 0..n``, in one forward pass.
 
     ``centred`` holds the ``(m, n, dim)`` moments centred at ``psi_bar``
@@ -151,17 +150,17 @@ def _path(
     holding the squares of the sums. ``r`` is added, and for an even
     ``dim`` the increments are summed, in one pass per pair of columns on
     their complex view, with the bits of a pass per column (see
-    :func:`~momentcpt.estimator._column_pairs`). With a workspace ``work``
-    (see :func:`~momentcpt.estimator._empty`), the whitening temporary and
-    the returned ``(m, n + 1)`` path are its buffers ``"row"`` and
-    ``"path"``, which the next block overwrites.
+    :func:`~momentcpt.estimator._column_pairs`). The whitening temporary
+    and then the returned ``(m, n + 1)`` path are the workspace ``work``'s
+    buffer ``"row"`` (see :func:`~momentcpt.estimator._empty`), which the
+    next block overwrites.
     """
     m, n, _ = centred.shape
     for col, res in zip(_column_pairs(centred), _column_pairs(r)):
         col += res[:, None]
     _whiten(centred, chol * math.sqrt(n), work)
     _running_sums(centred)
-    path = _empty(work, "path", (m, n + 1))
+    path = _empty(work, "row", (m, n + 1))
     path[:, 0] = 0.0
     _squared_norms(centred, path[:, 1:])
     return path
@@ -190,7 +189,7 @@ class _Rows:
 
 
 def _statistic(
-    block: np.ndarray, moments: np.ndarray, model: MomentModel, work: dict | None = None
+    block: np.ndarray, moments: np.ndarray, model: MomentModel, work: dict
 ) -> _Rows:
     """The change point test on every row of an ``(m, n)`` block of samples.
 
@@ -201,9 +200,9 @@ def _statistic(
     checks: finite moments (a ``ValueError``), then the
     :class:`~momentcpt.errors.EstimationError` of degeneracy, the fit and
     the plug-in covariance. ``moments`` is left holding the squares of
-    each row's whitened sums (see :func:`_path`). A workspace ``work``
-    goes to the moment and path stages, and then ``paths`` is its buffer
-    and the other fields are arrays of their own.
+    each row's whitened sums (see :func:`_path`). ``paths`` is the
+    workspace ``work``'s buffer ``"row"``, the scratch row of the moment
+    and path stages; the other fields are arrays of their own.
     """
     m, n = block.shape
     fit = _fit(block, moments, model, work)
@@ -235,7 +234,7 @@ def build_state(data, model: MomentModel) -> ZProcessState:
         are the samples that :func:`run_test` rejects with the same error.
     """
     data = _as_sample(data, 1)
-    centred, psi_bar, _, errors = _moments(data[None], _psi(data[None], model))
+    centred, psi_bar, _, errors = _moments(data[None], _psi(data[None], model), {})
     if errors[0] is not None:
         raise errors[0]
     return ZProcessState(data.shape[0], model.dim, centred[0], psi_bar[0])
@@ -297,7 +296,7 @@ def sigma_hat(data, theta, model: MomentModel) -> np.ndarray:
     """
     mean = _mean_at(theta, model)
     data = _as_sample(data, 1)
-    _, psi_bar, cov, errors = _moments(data[None], _psi(data[None], model))
+    _, psi_bar, cov, errors = _moments(data[None], _psi(data[None], model), {})
     if errors[0] is not None:
         raise errors[0]
     # an overflow is reported below, by name
@@ -354,7 +353,7 @@ def t_path(
     # an overflow is reported below, by name
     with np.errstate(over="ignore", invalid="ignore"):
         chol = np.linalg.cholesky(sigma)
-        path = _path(state.centred.copy()[None], r[None], chol[None])[0]
+        path = _path(state.centred.copy()[None], r[None], chol[None], {})[0]
     if not np.isfinite(path).all():
         raise ValueError(
             f"the statistic path overflows at theta = "
@@ -395,7 +394,7 @@ def _report(
 ) -> TestReport:
     """The test on one sample; it rejects only against a critical value."""
     data = _as_sample(data, model.dim + 2)
-    rows = _statistic(data[None], _psi(data[None], model), model)
+    rows = _statistic(data[None], _psi(data[None], model), model, {})
     if rows.errors[0] is not None:
         raise rows.errors[0]
     t_stat = float(rows.t_stats[0])

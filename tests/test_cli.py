@@ -10,6 +10,7 @@ import os
 import numpy as np
 import pytest
 
+from momentcpt import read_table_file
 from momentcpt.cli import main
 
 from conftest import run_fresh
@@ -397,6 +398,8 @@ class TestCritvalCommand:
             ["test", stable_file, "--model", "gamma", "--table", str(out)]
         )
         assert code == 0
+        (row,) = read_table_file(out).values()
+        assert f"critical value: {row.value:.6g} (level 0.05)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("option", ["--dim", "--level"])
     @pytest.mark.parametrize("value", ["", ","], ids=["empty", "comma"])

@@ -174,6 +174,18 @@ def test_newton_norms_do_not_overflow_and_targets_must_be_finite():
             newton_solve(bad, gamma_model(), (1.0, 1.0))
 
 
+@pytest.mark.parametrize("target", [[1.0], [1.0, 2.0, 3.0], [[2.0, 6.0]]])
+def test_newton_rejects_a_target_of_the_wrong_shape(target):
+    # a length-1 target used to broadcast against the mean until Newton
+    # stalled at the edge of its box
+    untouched = dataclasses.replace(gamma_model(), mean=lambda theta: pytest.fail("iterated"))
+    shape = np.shape(target)
+    with pytest.raises(
+        ValueError, match=re.escape(f"shape (2,) for model 'gamma', got {shape}")
+    ):
+        newton_solve(target, untouched, (2.0, 1.0))
+
+
 def test_newton_solves_gamma_target():
     result = newton_solve(np.array([2.0, 6.0]), gamma_model(), (1.0, 1.0))
     # stopping rule bounds the residual, so theta accuracy passes through
@@ -285,7 +297,7 @@ def test_an_exception_from_inverse_mean_propagates():
     model = dataclasses.replace(gamma_model(), inverse_mean=inverse_mean)
     block = np.random.default_rng(1).gamma(2.0, 1.0, size=(5, 50))
     with pytest.raises(OutOfDomain, match="refused"):
-        _fit(block, _psi(block, model), model)
+        _fit(block, _psi(block, model), model, {})
 
 
 # the normal restricted to mu > 0, solved in closed form and by Newton
@@ -300,7 +312,7 @@ def test_block_fit_gives_each_failed_row_its_own_error(how):
     # about a third of these samples have a non-positive mean and no fit
     model = FAILING_MODELS[how]()
     block = np.random.default_rng(4).normal(0.1, 1.0, size=(60, 30))
-    fit = _fit(block, _psi(block, model), model)
+    fit = _fit(block, _psi(block, model), model, {})
     failed = 0
     for row, theta, residual, error in zip(block, fit.theta, fit.residual, fit.errors):
         try:

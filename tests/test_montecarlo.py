@@ -442,7 +442,7 @@ def test_sample_block_draws_what_each_spawned_generator_draws(name):
     (streams,) = montecarlo._seed_blocks(seed, n, reps)
     # a generator in another state: each stream resets it
     rng = np.random.default_rng(12345)
-    block = montecarlo._sample_block(model, theta0, theta1, ustar, n, streams, rng, None)
+    block = montecarlo._sample_block(model, theta0, theta1, ustar, n, streams, rng, {})
     for row, child in zip(block, np.random.SeedSequence([seed, n]).spawn(reps)):
         rng = np.random.default_rng(child)
         expected = _reference_sample(model, theta0, theta1, ustar, n, rng)
@@ -672,6 +672,13 @@ class TestSweep:
         assert sampled == [100, 100, 400, 400]
         assert psi_calls == [25_000, 5_000, 100_000, 20_000]
 
+    def test_an_empty_sweep_is_rejected_before_sampling(self, monkeypatch):
+        config, _ = SWEEP_CONFIGS["gamma"]
+        monkeypatch.setattr(montecarlo, "_sample_block", lambda *args: pytest.fail("sampled"))
+        for n_values in ((), [], iter(())):
+            with pytest.raises(ValueError, match="n_values"):
+                consistency_diagnostics(config, n_values)
+
     def test_a_sweep_needs_no_critical_value(self):
         # no packaged critical value exists at this level, and no row reads one
         config, _ = SWEEP_CONFIGS["gamma"]
@@ -687,9 +694,9 @@ class TestSweep:
 
 
 def test_run_experiment_holds_one_block_of_moments():
-    # one block of 250 rows: per observation the sample, the row buffer and
-    # the path take 8 B each and the moments 16 B, which the path is summed
-    # and squared in
+    # one block of 250 rows: per observation the sample and the scratch row,
+    # which ends as the path, take 8 B each and the moments 16 B, which the
+    # path is summed and squared in
     config = ExperimentConfig(
         model="gamma", theta0=(1.0, 0.01), theta1=(1.0, 0.05), ustar=0.75, n=2000, m=250, seed=1
     )
@@ -699,15 +706,17 @@ def test_run_experiment_holds_one_block_of_moments():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (config.m * config.n) < 42
+    per_obs = peak / (config.m * config.n)
+    print(f"[memory] run_experiment: {per_obs:.1f} B per observation (bound 34)")
+    assert per_obs < 34
 
 
 def test_sup_zn_gap_holds_one_block_of_sums():
-    # one block of 4 rows: per observation the sample, the path and the row
-    # buffer take 8 B each, and the moments, which the test's path is
-    # summed and squared in, and their copy, in which Z_n - drift is summed
-    # and squared, 16 B each; the gap is squared into the spent path, not a
-    # new array
+    # one block of 4 rows: per observation the sample and the scratch row,
+    # which ends as the path, take 8 B each, and the moments, which the
+    # test's path is summed and squared in, and their copy, in which
+    # Z_n - drift is summed and squared, 16 B each; the gap is squared into
+    # the spent path, not a new array
     n = 2**17
     tracemalloc.start()
     try:
@@ -715,7 +724,9 @@ def test_sup_zn_gap_holds_one_block_of_sums():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (4 * n) <= 64
+    per_obs = peak / (4 * n)
+    print(f"[memory] sup_zn_gap: {per_obs:.1f} B per observation (bound 54)")
+    assert per_obs <= 54
 
 
 class TestConfigFiles:

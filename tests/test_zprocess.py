@@ -94,6 +94,7 @@ def test_build_state_holds_the_moments_and_one_row_per_observation():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    print(f"[memory] build_state: {peak / n:.1f} B per observation (bound 26)")
     assert peak / n < 26
 
 
@@ -394,7 +395,7 @@ def test_chunked_stages_give_the_same_bits(chunk, name, n):
 def test_chunked_stages_fail_a_row_as_a_whole_one_does(chunk):
     g = gamma_model()
     block = np.vstack([_failing_block()] * 11)  # 66 rows: several blocks of 7 and 64
-    rows = zprocess._statistic(block, zprocess._psi(block, g), g)
+    rows = zprocess._statistic(block, zprocess._psi(block, g), g, {})
     chunked = _row_outcomes(block, g, chunk)
     for i, row in enumerate(block):
         alone = _outcome(g, row)
@@ -411,15 +412,23 @@ def test_chunked_stages_fail_a_row_as_a_whole_one_does(chunk):
 
 
 def test_a_workspace_changes_no_result():
-    # a workspace decides only where the arrays live: the statistic and the
-    # moments it leaves behind are those of a run without one
+    # a workspace decides only where the arrays live: in the NaN-filled
+    # buffers that an earlier block four times the size left behind, the
+    # statistic and the moments it leaves are those of a fresh workspace
     g = gamma_model()
     block = _failing_block()
+    m, n = block.shape
+    used = {
+        "row": np.full(4 * m * (n + 1), np.nan),
+        "psi": np.full(4 * m * n * g.dim, np.nan),
+        "block": np.full(4 * m * n, np.nan),
+    }
     runs = []
-    for work in ({}, None):
+    for work in ({}, used):
         moments = zprocess._psi(block, g)
         runs.append((zprocess._statistic(block, moments, g, work), moments))
-    (shared, left), (fresh, right) = runs
+    (fresh, right), (shared, left) = runs
+    assert np.shares_memory(shared.paths, used["row"])
     for name in ("paths", "t_stats", "u_hats", "theta", "sigma"):
         assert np.array_equal(getattr(shared, name), getattr(fresh, name), equal_nan=True), name
     assert [repr(e) for e in shared.errors] == [repr(e) for e in fresh.errors]
@@ -428,9 +437,9 @@ def test_a_workspace_changes_no_result():
 
 
 def test_run_test_holds_the_moments_and_one_row_per_observation():
-    # gamma moments are 16 B per observation and the path 8 B; the whitened
-    # increments are summed in place in the moments, and the whitening
-    # temporary is freed before the path is allocated
+    # gamma moments are 16 B per observation and the scratch row 8 B; the
+    # whitened increments are summed in place in the moments, and the path
+    # is the whitening temporary's row, which is dropped before it grows
     n = 2**18
     data = np.random.default_rng(1).gamma(1.0, 100.0, n)
     tracemalloc.start()
@@ -439,6 +448,7 @@ def test_run_test_holds_the_moments_and_one_row_per_observation():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    print(f"[memory] run_test: {peak / n:.1f} B per observation (bound 26)")
     assert peak / n < 26
 
 
@@ -741,10 +751,10 @@ def test_paired_columns_give_the_per_column_bits(dim):
         2.0, 1.0, (m, 1, dim)
     )
     ref = _stages_per_column(moments.copy(), r, chol)
-    centred, psi_bar, cov, errors = zprocess._moments(block, moments)
+    centred, psi_bar, cov, errors = zprocess._moments(block, moments, {})
     assert [e is None for e in errors] == [True, False, True, True]
     _same((centred, psi_bar, cov), ref[:3])
-    _same((zprocess._path(centred, r, chol),), ref[3:])
+    _same((zprocess._path(centred, r, chol, {}),), ref[3:])
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
