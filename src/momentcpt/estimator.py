@@ -2,13 +2,14 @@
 
 The estimator solves ``mean(theta) = average of psi(X_k)``. Families with a
 closed-form ``inverse_mean`` use it directly; otherwise a damped Newton
-iteration inverts the mean curve numerically.
+iteration inverts the mean curve numerically, in the sample's whitened
+coordinates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,17 +20,13 @@ from .errors import (
     OutOfDomain,
     SingularJacobian,
 )
-from .models import MomentModel, _ill_conditioned, _near_singular
+from .models import MomentModel, _ill_conditioned, _matvec, _near_singular
 
 __all__ = ["MMEResult", "mme", "newton_solve"]
 
-# Interior offset applied to finite domain edges when clipping Newton
-# iterates; infinite edges are replaced by a large box.
-_EDGE_PAD = 1e-8
-_BOX_LIMIT = 1e8
 # Newton stops once the residual norm is at most _NEWTON_TOL * (1 + |target|);
 # it takes at most _MAX_ITER steps, each halved at most _MAX_HALVINGS times.
-_NEWTON_TOL = 1e-10
+_NEWTON_TOL = 1e-12
 _MAX_ITER = 100
 _MAX_HALVINGS = 40
 
@@ -56,24 +53,18 @@ class MMEResult:
     method: str
 
 
-def _newton_box(model: MomentModel) -> tuple[np.ndarray, np.ndarray]:
-    lo = np.empty(model.dim)
-    hi = np.empty(model.dim)
-    for i, (a, b) in enumerate(model.param_domain):
-        lo[i] = a + _EDGE_PAD if math.isfinite(a) else -_BOX_LIMIT
-        hi[i] = b - _EDGE_PAD if math.isfinite(b) else _BOX_LIMIT
-    return lo, hi
-
-
 def newton_solve(target, model: MomentModel, theta_init) -> MMEResult:
     """Solve ``model.mean(theta) = target`` by damped Newton iteration.
 
-    Steps are halved until the residual norm decreases and the iterate stays
-    strictly inside the parameter domain (finite edges padded by 1e-8). The
-    iteration stops once the residual norm is at most
-    ``1e-10 * (1 + |target|)``; it takes at most 100 steps, each halved at
+    A step is halved until its candidate satisfies ``model.contains`` and
+    has a smaller residual norm; a candidate whose mean overflows has no
+    finite residual and is rejected. The iteration stops once the residual
+    norm is at most ``1e-12 * (1 + |target|)``, in the caller's coordinates
+    of ``target`` and ``mean``; it takes at most 100 steps, each halved at
     most 40 times. An initial point that already meets tolerance is
-    returned unchanged with ``iterations == 0``.
+    returned unchanged with ``iterations == 0``. The Jacobian test divides
+    each column of ``jacobian(theta)`` by its largest magnitude, so
+    rescaling theta does not change it.
 
     Raises
     ------
@@ -96,7 +87,6 @@ def newton_solve(target, model: MomentModel, theta_init) -> MMEResult:
     if not np.isfinite(target).all():
         raise ValueError(f"target {target.tolist()} is not finite")
     theta = model.require(theta_init).copy()
-    lo, hi = _newton_box(model)
     scale = 1.0 + float(_norms(target[None])[0])
 
     residual = np.asarray(model.mean(theta), dtype=float) - target
@@ -114,9 +104,11 @@ def newton_solve(target, model: MomentModel, theta_init) -> MMEResult:
         damping = 1.0
         for _ in range(_MAX_HALVINGS + 1):
             candidate = theta - damping * step
-            if np.all(candidate >= lo) and np.all(candidate <= hi):
-                cand_res = np.asarray(model.mean(candidate), dtype=float) - target
-                cand_norm = float(_norms(cand_res[None])[0])
+            if model.contains(candidate):
+                # a residual that is not finite fails the comparison below
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    cand_res = np.asarray(model.mean(candidate), dtype=float) - target
+                    cand_norm = float(_norms(cand_res[None])[0])
                 if cand_norm < res_norm:
                     theta, residual, res_norm = candidate, cand_res, cand_norm
                     accepted = True
@@ -315,12 +307,30 @@ _DEGENERATE = (
 )
 
 
-def _solve(psi_bar: np.ndarray, model: MomentModel, errors: list):
+def _whitened(model: MomentModel, cov: np.ndarray):
+    """``model`` seen through ``L^-1 psi``, and ``L^-1``, with ``L`` the
+    Cholesky factor of the positive definite ``cov``."""
+    l_inv = np.linalg.inv(np.linalg.cholesky(cov))
+    view = replace(
+        model,
+        mean=lambda theta: _matvec(l_inv, model.mean(theta)),
+        jacobian=lambda theta: l_inv @ model.jacobian(theta),
+    )
+    return view, l_inv
+
+
+def _solve(psi_bar: np.ndarray, model: MomentModel, errors: list, cov=None):
     """Solve ``mean(theta) = psi_bar`` for each row of an ``(m, dim)`` array.
 
     Rows whose entry of ``errors`` is set are skipped. A closed-form model
-    takes one ``inverse_mean`` call on the other rows, a Newton-only model
-    one :func:`newton_solve` per row from ``init_guess``.
+    takes one ``inverse_mean`` call on the other rows. A Newton-only model
+    takes one :func:`newton_solve` per row from ``init_guess``, in the
+    row's whitened coordinates: target and mean are multiplied by
+    ``L^-1``, with ``L`` the Cholesky factor of the row's positive definite
+    covariance ``cov[i]``, so that the step, its damping, the stop and the
+    Jacobian test do not depend on an affine map of ``psi`` or a rescaling
+    of theta. ``cov``, an ``(m, dim, dim)`` array, is read only for such
+    rows; a closed-form model may omit it.
     Then one domain check, one ``mean`` call and the residual bound that
     :func:`mme` documents cover every row. A row that fails gets its error
     in ``errors``, NaN ``theta`` and residual, 0 iterations and
@@ -341,8 +351,9 @@ def _solve(psi_bar: np.ndarray, model: MomentModel, errors: list):
                 )
             for i in rows:
                 start = model.init_guess(psi_bar[i])
+                view, l_inv = _whitened(model, cov[i])
                 try:
-                    fit = newton_solve(psi_bar[i], model, start)
+                    fit = newton_solve(_matvec(l_inv, psi_bar[i]), view, start)
                 except EstimationError as exc:
                     errors[i] = exc
                     continue
@@ -413,7 +424,7 @@ def _fit(
     for i in np.flatnonzero(_ill_conditioned(cov)):
         if errors[i] is None:
             errors[i] = DegenerateSample(_DEGENERATE)
-    theta, means, residual, iterations = _solve(psi_bar, model, errors)
+    theta, means, residual, iterations = _solve(psi_bar, model, errors, cov)
     return _BlockFit(centred, psi_bar, cov, theta, means, residual, iterations, errors)
 
 
@@ -430,7 +441,11 @@ def mme(data, model: MomentModel) -> MMEResult:
         Finite observations, shape ``(n,)`` with ``n >= dim + 1``.
     model : MomentModel
         A model without a closed-form ``inverse_mean`` is solved by Newton
-        iteration from ``init_guess(psi-bar)``.
+        iteration from ``init_guess(psi-bar)``, in the sample's whitened
+        coordinates ``L^-1 psi`` (``L`` the Cholesky factor of the sample
+        covariance of ``psi(X)``), so the fit does not depend on an affine
+        map of ``psi``, a rescaling of theta or the scale of the data. The
+        bound above is checked in raw units all the same.
 
     Raises
     ------

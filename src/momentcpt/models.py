@@ -62,11 +62,17 @@ def _ill_conditioned(mats) -> np.ndarray:
 def _near_singular(mat) -> bool:
     """Whether a square matrix is singular to within a condition number of 1e12.
 
-    True when the largest singular value is not positive or the smallest is
-    at most ``_COND_EPS`` times the largest.
+    The matrix is judged with each column divided by its largest
+    magnitude, so that rescaling a column does not change the verdict (and
+    no sum of squares overflows). True when a column is zero or holds a
+    NaN, or when the smallest singular value of the scaled matrix is at
+    most ``_COND_EPS`` times the largest.
     """
-    svals = np.linalg.svd(mat, compute_uv=False)
-    return bool(svals[0] <= 0.0 or svals[-1] <= _COND_EPS * svals[0])
+    peak = np.abs(mat).max(axis=0)
+    if not (peak > 0.0).all():
+        return True
+    svals = np.linalg.svd(mat / peak, compute_uv=False)
+    return bool(svals[-1] <= _COND_EPS * svals[0])
 
 
 def _mean_at(theta, model: MomentModel) -> np.ndarray:
@@ -159,7 +165,11 @@ class MomentModel:
         propagates, so ``run_test`` raises it and ``run_experiment`` stops.
     init_guess : callable, optional
         Maps a moment vector to a starting point for the Newton solver when
-        no closed-form inverse is available (or it has been removed).
+        no closed-form inverse is available (or it has been removed). The
+        estimator runs Newton in the sample's whitened coordinates, so the
+        start need not match the scale of the data: a fixed point such as
+        ``(1, 1)`` serves for data of any magnitude, at the price of more
+        iterations than a start near the answer.
     """
 
     name: str
@@ -418,15 +428,20 @@ def asymptotic_covariance(model: MomentModel, theta) -> np.ndarray:
     Raises
     ------
     SingularJacobian
-        If the Jacobian is singular to within a condition number of 1e12.
+        If ``L^-1 J`` is singular to within a condition number of 1e12, with
+        ``L`` the Cholesky factor of ``C`` (see ``_near_singular``): judged
+        where ``psi(X)`` has unit covariance, the verdict does not depend
+        on the scale of ``psi`` or of theta.
+    numpy.linalg.LinAlgError
+        If ``C`` is not positive definite.
     """
     theta = model.require(theta)
     jac = np.asarray(model.jacobian(theta), dtype=float)
-    if _near_singular(jac):
+    c = np.asarray(model.cov(theta), dtype=float)
+    if _near_singular(np.linalg.solve(np.linalg.cholesky(c), jac)):
         raise SingularJacobian(
             f"jacobian of model {model.name!r} at {theta!r} is singular"
         )
-    c = np.asarray(model.cov(theta), dtype=float)
     half = np.linalg.solve(jac, c)
     out = np.linalg.solve(jac, half.T).T
     return (out + out.T) / 2.0
@@ -446,8 +461,10 @@ def _matvec(mat: np.ndarray, v) -> np.ndarray:
 def affine_transform(model: MomentModel, a, b) -> MomentModel:
     """Model observing ``x`` through ``a @ psi(x) + b`` instead of ``psi(x)``.
 
-    ``a`` must be a finite, invertible ``(dim, dim)`` matrix and ``b`` a
-    finite ``(dim,)`` vector. Parameterization, domain and sampler are
+    ``a`` must be a finite ``(dim, dim)`` matrix, invertible once each
+    column is divided by its largest magnitude (so any invertible
+    rescaling of the coordinates is taken), and ``b`` a finite ``(dim,)``
+    vector. Parameterization, domain and sampler are
     unchanged; only the moment map and its derived quantities transform.
     """
     a = np.asarray(a, dtype=float)

@@ -375,17 +375,16 @@ def alternative_oracle(
         sigma_star = ustar * np.asarray(model.cov(theta0), dtype=float) + (
             1.0 - ustar
         ) * np.asarray(model.cov(theta1), dtype=float)
-    errors = [None]
-    theta_star = _solve(mixed[None], model, errors)[0][0]
-    if errors[0] is not None:
-        raise errors[0]
-
     if not np.isfinite(sigma_star).all():
         raise ValueError(f"the mixture covariance overflows at {at}")
     if _ill_conditioned(sigma_star):
         raise SingularCovariance(
             "mixture covariance of the alternative is singular"
         )
+    errors = [None]
+    theta_star = _solve(mixed[None], model, errors, sigma_star[None])[0][0]
+    if errors[0] is not None:
+        raise errors[0]
     return AlternativeOracle(
         model_name=model.name,
         ustar=float(ustar),

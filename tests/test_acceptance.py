@@ -192,24 +192,43 @@ def test_criterion_05_brute_force_equivalence():
 
 
 def test_criterion_06_affine_invariance():
-    g = gamma_model()
-    rng = np.random.default_rng(7002)
-    worst = 0.0
+    # the closed-form gamma and a Newton-only one started where a user
+    # might start it, each over its own 50 draws; beside the random (A, b),
+    # the diagonal views rescale x^2 by 1e12 and 1e-12
+    rough = replace(
+        gamma_model(),
+        name="gamma~newton",
+        inverse_mean=None,
+        init_guess=lambda m: np.array([1.0, 1.0 / m[0]]),
+    )
+    worst = {}
     ok = True
-    done = 0
-    while done < 50:
-        a = rng.uniform(-1.5, 1.5, size=(2, 2))
-        if np.linalg.cond(a) > 20.0:
-            continue
-        b = rng.uniform(-3.0, 3.0, size=2)
-        data = g.sample((1.5, 0.8), rng, 150)
-        base = run_test(data, g, critical_value=np.inf)
-        moved = run_test(data, affine_transform(g, a, b), critical_value=np.inf)
-        if not np.allclose(moved.t_path, base.t_path, rtol=1e-9, atol=1e-9):
-            ok = False
-        worst = max(worst, float(np.max(np.abs(moved.t_path - base.t_path))))
-        done += 1
-    detail = f"50 random invertible (A, b), worst |path gap| {worst:.2e} (limit 1e-9)"
+    for g in (gamma_model(), rough):
+        rng = np.random.default_rng(7002)
+        done = 0
+        while done < 50:
+            a = rng.uniform(-1.5, 1.5, size=(2, 2))
+            if np.linalg.cond(a) > 20.0:
+                continue
+            b = rng.uniform(-3.0, 3.0, size=2)
+            data = g.sample((1.5, 0.8), rng, 150)
+            base = run_test(data, g, critical_value=np.inf)
+            views = [("(A, b)", a, b)] + [
+                (f"diag(1, {s:g})", np.diag([1.0, s]), np.zeros(2)) for s in (1e12, 1e-12)
+            ]
+            for label, va, vb in views:
+                moved = run_test(data, affine_transform(g, va, vb), critical_value=np.inf)
+                if not np.allclose(moved.t_path, base.t_path, rtol=1e-9, atol=1e-9):
+                    ok = False
+                key = f"{g.name} {label}"
+                gap = float(np.max(np.abs(moved.t_path - base.t_path)))
+                worst[key] = max(worst.get(key, 0.0), gap)
+            done += 1
+    gaps = ", ".join(f"{key} {gap:.2e}" for key, gap in worst.items())
+    detail = (
+        f"50 draws per family, each under a random invertible (A, b) and "
+        f"two diagonal rescalings, worst |path gap|: {gaps} (limit 1e-9)"
+    )
     _check(6, ok, detail)
 
 

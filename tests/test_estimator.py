@@ -19,6 +19,7 @@ from momentcpt import (
     NoConvergence,
     OutOfDomain,
     SingularJacobian,
+    affine_transform,
     detect,
     exponential_model,
     gamma_model,
@@ -26,6 +27,7 @@ from momentcpt import (
     mme,
     newton_solve,
     poisson_model,
+    run_test,
 )
 
 from momentcpt.estimator import _fit, _norms, _psi, _solve
@@ -264,6 +266,61 @@ def test_mme_without_any_starting_point():
     start = dataclasses.replace(bare, init_guess=lambda m: np.array([1.0, 1.0]))
     result = mme(data, start)
     np.testing.assert_allclose(result.theta, mme(data, gamma_model()).theta)
+
+
+# gamma without its closed-form inverse, started where a user might start
+# it: alpha = 1, lam = 1 / m1
+ROUGH_GAMMA = dataclasses.replace(
+    gamma_model(),
+    name="gamma~newton",
+    inverse_mean=None,
+    init_guess=lambda m: np.array([1.0, 1.0 / m[0]]),
+)
+# and from a start that does not follow the data at all
+FIXED_START_GAMMA = dataclasses.replace(
+    gamma_model(), inverse_mean=None, init_guess=lambda m: np.array([1.0, 1.0])
+)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e-6, 1.0, 1e3, 1e6, 1e9, 1e12])
+def test_newton_fit_does_not_depend_on_the_scale_of_the_data(scale):
+    # judged in raw units, the start already met the stop for scale <= 1e-6,
+    # and the Jacobian test failed for scale >= 1e6
+    data = np.random.default_rng(3).gamma(2.0, scale, 2000)
+    exact = run_test(data, gamma_model(), critical_value=np.inf)
+    newton = run_test(data, ROUGH_GAMMA, critical_value=np.inf)
+    np.testing.assert_allclose(newton.theta_hat, exact.theta_hat, rtol=1e-10)
+    np.testing.assert_allclose(newton.t_stat, exact.t_stat, rtol=1e-10)
+    assert mme(data, ROUGH_GAMMA).iterations > 0
+
+
+@pytest.mark.parametrize("rate", [1e-12, 1e-9, 1e9, 1e12])
+def test_newton_exponential_reaches_far_rates_from_one(rate):
+    # a box of +-1e8 around the domain stopped these at its edge
+    model = dataclasses.replace(
+        exponential_model(), inverse_mean=None, init_guess=lambda m: np.array([1.0])
+    )
+    data = np.random.default_rng(5).exponential(1.0 / rate, 500)
+    fit = mme(data, model)
+    assert fit.method == "newton"
+    np.testing.assert_allclose(fit.theta, mme(data, exponential_model()).theta, rtol=1e-12)
+
+
+def test_newton_converges_where_raw_damping_crawled():
+    # damping judged by the raw residual norm, which the x^2 coordinate
+    # dominates, crawled to the 100-iteration cap on this sample
+    data = np.random.default_rng(7).gamma(1.0, 100.0, 100_000)
+    fit = mme(data, FIXED_START_GAMMA)
+    np.testing.assert_allclose(fit.theta, mme(data, gamma_model()).theta, rtol=1e-10)
+
+
+def test_newton_fit_and_its_rescaled_view_take_the_same_steps():
+    view = affine_transform(FIXED_START_GAMMA, np.diag([1.0, 1e-4]), np.zeros(2))
+    for seed in range(40):
+        data = np.random.default_rng(seed).gamma(1.0, 100.0, 100_000)
+        plain, seen = mme(data, FIXED_START_GAMMA), mme(data, view)
+        assert plain.iterations == seen.iterations, seed
+        np.testing.assert_allclose(seen.theta, plain.theta, rtol=1e-10)
 
 
 def test_exponential_rate_scaling_equivariance():

@@ -14,6 +14,7 @@ from momentcpt import (
     gamma_model,
     get_model,
     model_names,
+    run_test,
 )
 from momentcpt.estimator import _solve
 
@@ -184,6 +185,17 @@ def test_asymptotic_covariance_singular_jacobian():
         asymptotic_covariance(flat, (0.0,))
 
 
+@pytest.mark.parametrize("lam", [1e-9, 1e9])
+def test_asymptotic_covariance_follows_a_rescaled_rate(lam):
+    # the rate's error scales with the rate; judged in raw units, the
+    # Jacobian was singular at both
+    unit = asymptotic_covariance(gamma_model(), (2.0, 1.0))
+    d = np.diag([1.0, lam])
+    np.testing.assert_allclose(
+        asymptotic_covariance(gamma_model(), (2.0, lam)), d @ unit @ d, rtol=1e-12
+    )
+
+
 class TestAffineTransform:
     A = np.array([[2.0, 1.0], [0.0, 3.0]])
     B = np.array([1.0, -2.0])
@@ -226,6 +238,23 @@ class TestAffineTransform:
     def test_rejects_singular_matrix(self):
         with pytest.raises(ValueError, match="singular"):
             affine_transform(gamma_model(), np.zeros((2, 2)), self.B)
+
+    @pytest.mark.parametrize("s", [1e-12, 1e12])
+    def test_takes_every_invertible_rescaling(self, s):
+        g = gamma_model()
+        data = g.sample((2.0, 1.0), np.random.default_rng(1), 300)
+        base = run_test(data, g, critical_value=np.inf)
+        view = affine_transform(g, np.diag([1.0, s]), np.zeros(2))
+        moved = run_test(data, view, critical_value=np.inf)
+        # relative to the path's peak: its ends are rounding noise
+        np.testing.assert_allclose(
+            moved.t_path, base.t_path, rtol=1e-12, atol=1e-12 * base.t_stat
+        )
+
+    @pytest.mark.parametrize("a", [[[1.0, 0.0], [2.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]]])
+    def test_rejects_a_zero_column_and_a_rank_one_matrix(self, a):
+        with pytest.raises(ValueError, match="numerically singular"):
+            affine_transform(gamma_model(), a, self.B)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
