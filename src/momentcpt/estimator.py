@@ -143,6 +143,12 @@ def _as_sample(data, min_n: int) -> np.ndarray:
     return data
 
 
+def _largest(x: np.ndarray) -> str:
+    """``"(data[k] = x_k)"`` for the observation of ``x`` largest in magnitude."""
+    k = int(np.argmax(np.abs(x)))
+    return f"(data[{k}] = {float(x[k])!r})"
+
+
 def _not_finite(x: np.ndarray, moments: np.ndarray) -> ValueError:
     """The error for a sample ``x`` whose moment average is not finite."""
     bad = ~np.isfinite(moments).all(axis=1)
@@ -154,8 +160,7 @@ def _not_finite(x: np.ndarray, moments: np.ndarray) -> ValueError:
     # over the whole sample
     running = np.isfinite(np.cumsum(moments, axis=0)).all(axis=1)
     if running.all():
-        k = int(np.argmax(np.abs(x)))
-        return ValueError(f"the sum of psi(data) overflows (data[{k}] = {float(x[k])!r})")
+        return ValueError(f"the sum of psi(data) overflows {_largest(x)}")
     k = 1 + int(np.argmin(running))
     return ValueError(
         f"the sum of psi(data[:{k}]) overflows (data[{k - 1}] = {float(x[k - 1])!r})"
@@ -226,6 +231,16 @@ def _column_pairs(a: np.ndarray) -> list:
     return pairs + [a[..., -1]] * (d % 2)
 
 
+def _fail(errors: list, mask, error) -> None:
+    """Give ``error(i)`` to each row ``i`` of the boolean ``mask`` that has no
+    error yet, so that a row keeps the first error of its checks."""
+    # mask.nonzero(), not np.flatnonzero: a test makes six such calls, and
+    # the ravel of flatnonzero costs about 1 us each
+    for i in mask.nonzero()[0]:
+        if errors[i] is None:
+            errors[i] = error(i)
+
+
 def _moments(block: np.ndarray, moments: np.ndarray, work: dict):
     """The moment stage for every row of an ``(m, n)`` block of samples.
 
@@ -246,25 +261,24 @@ def _moments(block: np.ndarray, moments: np.ndarray, work: dict):
     The row and column of a constant moment are exactly zero: ``psi_bar``
     carries the rounding of its sum, so centring would leave a spurious
     spread that no relative conditioning check can see when ``dim == 1``.
-    A constant column has equal first and last entries, so only those
-    columns get the full comparison.
+    A constant column has equal first and last entries, so only the rows
+    with such a column are compared, all their columns in one step; when
+    every row is one, the moments are compared as they are, not copied.
     """
     m, n, d = moments.shape
+    errors: list = [None] * m
     # overflow is reported per row below, by name
     with np.errstate(over="ignore", invalid="ignore"):
         psi_bar = np.stack([moments[:, :, j].sum(axis=1) for j in range(d)], axis=1) / n
-        errors: list = [None] * m
-        for i in np.flatnonzero(~np.isfinite(psi_bar).all(axis=1)):
-            errors[i] = _not_finite(block[i], moments[i])
-            moments[i] = psi_bar[i] = 0.0
+        bad = ~np.isfinite(psi_bar).all(axis=1)
+        _fail(errors, bad, lambda i: _not_finite(block[i], moments[i]))
+        moments[bad] = psi_bar[bad] = 0.0
 
-        maybe = moments[:, 0] == moments[:, -1]
+        rows = np.flatnonzero((moments[:, 0] == moments[:, -1]).any(axis=1))
         constant = np.zeros((m, d), dtype=bool)
-        for j in range(d):
-            rows = np.flatnonzero(maybe[:, j])
-            if rows.size:
-                col = moments[:, :, j] if rows.size == m else moments[rows, :, j]
-                constant[rows, j] = (col == col[:, :1]).all(axis=1)
+        if rows.size:
+            some = moments if rows.size == m else moments[rows]
+            constant[rows] = (some == some[:, :1]).all(axis=1)
         for col, mean in zip(_column_pairs(moments), _column_pairs(psi_bar)):
             col -= mean[:, None]
         cov = np.empty((m, d, d))
@@ -274,12 +288,13 @@ def _moments(block: np.ndarray, moments: np.ndarray, work: dict):
                 np.multiply(moments[:, :, i], moments[:, :, j], out=prod)
                 cov[:, i, j] = cov[:, j, i] = prod.sum(axis=1) / n
         cov[constant[:, :, None] | constant[:, None, :]] = 0.0
-    for i in np.flatnonzero(~np.isfinite(cov).all(axis=(1, 2))):
-        k = int(np.argmax(np.abs(block[i])))
-        errors[i] = ValueError(
-            f"the covariance of psi(data) overflows (data[{k}] = {float(block[i, k])!r})"
-        )
-        moments[i] = psi_bar[i] = cov[i] = 0.0
+    bad = ~np.isfinite(cov).all(axis=(1, 2))
+    _fail(
+        errors,
+        bad,
+        lambda i: ValueError(f"the covariance of psi(data) overflows {_largest(block[i])}"),
+    )
+    moments[bad] = psi_bar[bad] = cov[bad] = 0.0
     return moments, psi_bar, cov, errors
 
 
@@ -319,21 +334,22 @@ def _whitened(model: MomentModel, cov: np.ndarray):
     return view, l_inv
 
 
-def _solve(psi_bar: np.ndarray, model: MomentModel, errors: list, cov=None):
+def _solve(psi_bar: np.ndarray, model: MomentModel, errors: list, cov):
     """Solve ``mean(theta) = psi_bar`` for each row of an ``(m, dim)`` array.
 
     Rows whose entry of ``errors`` is set are skipped. A closed-form model
-    takes one ``inverse_mean`` call on the other rows. A Newton-only model
-    takes one :func:`newton_solve` per row from ``init_guess``, in the
-    row's whitened coordinates: target and mean are multiplied by
-    ``L^-1``, with ``L`` the Cholesky factor of the row's positive definite
-    covariance ``cov[i]``, so that the step, its damping, the stop and the
-    Jacobian test do not depend on an affine map of ``psi`` or a rescaling
-    of theta. ``cov``, an ``(m, dim, dim)`` array, is read only for such
-    rows; a closed-form model may omit it.
+    takes one ``inverse_mean`` call on the other rows and never reads
+    ``cov``, which may then be None. A Newton-only model takes one
+    :func:`newton_solve` per row from ``init_guess``, in the row's whitened
+    coordinates: target and mean are multiplied by ``L^-1``, with ``L`` the
+    Cholesky factor of the row's positive definite covariance ``cov[i]``
+    (``cov`` an ``(m, dim, dim)`` array), so that the step, its damping,
+    the stop and the Jacobian test do not depend on an affine map of
+    ``psi`` or a rescaling of theta.
     Then one domain check, one ``mean`` call and the residual bound that
-    :func:`mme` documents cover every row. A row that fails gets its error
-    in ``errors``, NaN ``theta`` and residual, 0 iterations and
+    :func:`mme` documents cover every row, each failing a row through
+    :func:`_fail`, so a row keeps its first error. A row that fails gets
+    its error in ``errors``, NaN ``theta`` and residual, 0 iterations and
     ``means = psi_bar``. Returns ``theta``, ``means``, ``residual`` and
     ``iterations``.
     """
@@ -363,23 +379,26 @@ def _solve(psi_bar: np.ndarray, model: MomentModel, errors: list, cov=None):
 
     lo, hi = np.array(model.param_domain, dtype=float).T
     inside = ((theta > lo) & (theta < hi)).all(axis=1)  # NaN fails
-    for i in rows[~inside[rows]]:
-        if errors[i] is None:  # not a Newton failure
-            errors[i] = OutOfDomain(
-                f"moment vector {psi_bar[i].tolist()} has no preimage in the "
-                f"domain of model {model.name!r}"
-            )
+    _fail(
+        errors,
+        ~inside,
+        lambda i: OutOfDomain(
+            f"moment vector {psi_bar[i].tolist()} has no preimage in the "
+            f"domain of model {model.name!r}"
+        ),
+    )
     ok = rows[inside[rows]]
     means = psi_bar.copy()
     means[ok] = model.mean(theta[ok])
-    residual = np.full(len(psi_bar), np.nan)
-    residual[ok] = _norms(means[ok] - psi_bar[ok])
-    bound = 1e-8 * (1.0 + _norms(psi_bar[ok]))
-    for j in np.flatnonzero(~(residual[ok] <= bound)):  # NaN fails
-        errors[ok[j]] = NoConvergence(
-            f"estimating equation residual {residual[ok[j]]:.3e} "
-            f"exceeds {bound[j]:.3e}"
-        )
+    residual = _norms(means - psi_bar)
+    bound = 1e-8 * (1.0 + _norms(psi_bar))
+    _fail(
+        errors,
+        ~(residual <= bound),  # NaN fails
+        lambda i: NoConvergence(
+            f"estimating equation residual {residual[i]:.3e} exceeds {bound[i]:.3e}"
+        ),
+    )
     failed = np.array([e is not None for e in errors])
     theta[failed] = residual[failed] = np.nan
     iterations[failed] = 0
@@ -421,9 +440,7 @@ def _fit(
     :func:`_solve`, which gives a failed row its own error.
     """
     centred, psi_bar, cov, errors = _moments(block, moments, work)
-    for i in np.flatnonzero(_ill_conditioned(cov)):
-        if errors[i] is None:
-            errors[i] = DegenerateSample(_DEGENERATE)
+    _fail(errors, _ill_conditioned(cov), lambda i: DegenerateSample(_DEGENERATE))
     theta, means, residual, iterations = _solve(psi_bar, model, errors, cov)
     return _BlockFit(centred, psi_bar, cov, theta, means, residual, iterations, errors)
 

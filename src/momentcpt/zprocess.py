@@ -19,8 +19,9 @@ the caller makes: ``psi_bar`` as the pairwise sum of each moment over the
 row divided by ``n``, and the fit from ``psi_bar``, which together are the
 block fit that :func:`~momentcpt.estimator.mme` runs on one row; then the
 covariance ``S + r r'`` from the centred sample covariance ``S`` and the
-estimating equation residual ``r = psi_bar - mean(theta_hat)``, and a
-Cholesky factor. The path is summed from whitened increments: each
+estimating equation residual ``r = psi_bar - mean(theta_hat)``, which
+``_plug_in`` forms and judges for it and for :func:`sigma_hat` alike, and
+a Cholesky factor. The path is summed from whitened increments: each
 ``psi(X_k) - mean(theta_hat)`` is whitened before it is added, so no raw
 sum of moments has ``k * mean(theta_hat)`` subtracted from it, a step that
 cancels digits when the data sit far from zero. The increments are
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularCovariance
-from .estimator import _as_sample, _column_pairs, _empty, _fit, _moments, _psi
+from .estimator import _as_sample, _column_pairs, _empty, _fail, _fit, _moments, _psi
 from .limits import _threshold
 from .models import MomentModel, _ill_conditioned, _mean_at
 
@@ -90,10 +91,32 @@ class ZProcessState:
     psi_bar: np.ndarray
 
 
-def _plug_in(cov: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """``(1/n) sum_k (psi_k - mean)(psi_k - mean)'`` from the centred covariance
-    and the residual ``r = psi_bar - mean``."""
-    return cov + r[:, :, None] * r[:, None, :]
+def _plug_in(
+    cov: np.ndarray, r: np.ndarray, theta, model: MomentModel, errors: list
+) -> np.ndarray:
+    """The plug-in covariances ``(1/n) sum_k (psi_k - mean)(psi_k - mean)'``
+    of a block, ``cov + r r'`` from the ``(m, dim, dim)`` centred covariances
+    and the ``(m, dim)`` residuals ``r = psi_bar - mean(theta[i])``, and the
+    one place that judges them.
+
+    Through :func:`~momentcpt.estimator._fail`, a row without an error whose
+    result is not finite gets the ``ValueError`` that names ``theta[i]`` and
+    the model, and otherwise one whose correlation matrix has condition
+    number above 1e12 gets :class:`~momentcpt.errors.SingularCovariance`.
+    """
+    # an overflow is reported below, by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = cov + r[:, :, None] * r[:, None, :]
+    _fail(
+        errors,
+        ~np.isfinite(sigma).all(axis=(1, 2)),
+        lambda i: ValueError(
+            f"the plug-in covariance overflows at theta = "
+            f"{np.asarray(theta[i], dtype=float).tolist()} for model {model.name!r}"
+        ),
+    )
+    _fail(errors, _ill_conditioned(sigma), lambda i: SingularCovariance(_SINGULAR_SIGMA))
+    return sigma
 
 
 def _whiten(z: np.ndarray, chol: np.ndarray, work: dict) -> None:
@@ -195,27 +218,28 @@ def _statistic(
 
     ``moments`` are the block's moments from
     :func:`~momentcpt.estimator._psi`, which the fit centres in place.
-    The caller validates the data. A row that fails keeps the error that
-    :func:`run_test` raises for that sample alone, in the same order of
-    checks: finite moments (a ``ValueError``), then the
-    :class:`~momentcpt.errors.EstimationError` of degeneracy, the fit and
-    the plug-in covariance. ``moments`` is left holding the squares of
-    each row's whitened sums (see :func:`_path`). ``paths`` is the
-    workspace ``work``'s buffer ``"row"``, the scratch row of the moment
-    and path stages; the other fields are arrays of their own.
+    The caller validates the data. A row that fails keeps the first error
+    of its checks, the one that :func:`run_test` raises for that sample
+    alone. The checks run in this order: finite moments (a ``ValueError``),
+    degeneracy (:class:`~momentcpt.errors.DegenerateSample`), the fit,
+    plug-in overflow (a ``ValueError`` from :func:`_plug_in`) and plug-in
+    conditioning (:class:`~momentcpt.errors.SingularCovariance`). A failed
+    row's path is summed from its centred moments alone, without its
+    residual and with an identity factor for its covariance, so it raises
+    no warning; its statistic and change fraction are NaN. ``moments`` is
+    left holding the squares of each row's whitened sums (see
+    :func:`_path`). ``paths`` is the workspace ``work``'s buffer ``"row"``,
+    the scratch row of the moment and path stages; the other fields are
+    arrays of their own.
     """
     m, n = block.shape
     fit = _fit(block, moments, model, work)
     errors = fit.errors
     r = fit.psi_bar - fit.means
-    sigma = _plug_in(fit.cov, r)
-    for i in np.flatnonzero(_ill_conditioned(sigma)):
-        if errors[i] is None:
-            errors[i] = SingularCovariance(_SINGULAR_SIGMA)
-
+    sigma = _plug_in(fit.cov, r, fit.theta, model, errors)
     ok = np.array([e is None for e in errors])
     chol = np.linalg.cholesky(np.where(ok[:, None, None], sigma, np.eye(model.dim)))
-    paths = _path(fit.centred, r, chol, work)
+    paths = _path(fit.centred, np.where(ok[:, None], r, 0.0), chol, work)
     k_hat = np.argmax(paths, axis=1)
     t_stats = np.where(ok, paths[np.arange(m), k_hat], np.nan)
     u_hats = np.where(ok, k_hat / n, np.nan)
@@ -280,6 +304,9 @@ def sigma_hat(data, theta, model: MomentModel) -> np.ndarray:
     Computed as the centred sample covariance of ``psi(X)`` plus ``r r'``
     with ``r = psi_bar - mean(theta)``; with theta the full-sample moment
     estimate this is the (biased, 1/n) sample covariance of ``psi(X)``.
+    It is formed and judged by :func:`_plug_in`, as :func:`run_test`
+    forms and judges it, so at the estimate a sample gets the error that
+    :func:`run_test` raises for it.
 
     Raises
     ------
@@ -292,23 +319,15 @@ def sigma_hat(data, theta, model: MomentModel) -> np.ndarray:
         If the data are not a one-dimensional vector of finite values, or
         the moments, their sum or their covariance are not finite; these
         are the samples that :func:`run_test` rejects with the same error.
-        Also if ``mean(theta)`` or the result is not finite.
+        Also if ``mean(theta)`` is not finite, or if the result is not
+        finite; that error names theta and the model.
     """
     mean = _mean_at(theta, model)
     data = _as_sample(data, 1)
     _, psi_bar, cov, errors = _moments(data[None], _psi(data[None], model), {})
+    sigma = _plug_in(cov, psi_bar - mean[None], [theta], model, errors)
     if errors[0] is not None:
         raise errors[0]
-    # an overflow is reported below, by name
-    with np.errstate(over="ignore", invalid="ignore"):
-        sigma = _plug_in(cov, psi_bar - mean[None])
-    if not np.isfinite(sigma).all():
-        raise ValueError(
-            f"the plug-in covariance overflows at theta = "
-            f"{np.asarray(theta, dtype=float).tolist()} for model {model.name!r}"
-        )
-    if _ill_conditioned(sigma)[0]:
-        raise SingularCovariance(_SINGULAR_SIGMA)
     return sigma[0]
 
 

@@ -86,7 +86,7 @@ def test_solve_fails_moments_on_the_domain_edge_without_a_warning():
         errors = [None, None]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            theta, means, residual, iterations = _solve(np.array(psi_bar), model, errors)
+            theta, means, residual, iterations = _solve(np.array(psi_bar), model, errors, None)
         assert type(errors[0]) is OutOfDomain and errors[1] is None
         assert np.isnan(theta[0]).all() and np.isnan(residual[0])
         assert np.array_equal(means[0], psi_bar[0]) and iterations[0] == 0

@@ -320,8 +320,8 @@ def test_a_block_with_one_impossible_row_raises_that_rows_message(name):
     assert np.array_equal(model.inverse_mean(moments)[37], alone, equal_nan=True)
     # and the block solve gives that row, and no other, its own error
     errors, errors_alone = [None] * len(moments), [None]
-    _solve(moments, model, errors)
-    _solve(moments[37:38], model, errors_alone)
+    _solve(moments, model, errors, None)
+    _solve(moments[37:38], model, errors_alone, None)
     assert [i for i, e in enumerate(errors) if e is not None] == [37]
     assert type(errors[37]) is OutOfDomain
     assert str(errors[37]) == str(errors_alone[0])

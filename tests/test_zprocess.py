@@ -452,6 +452,25 @@ def test_run_test_holds_the_moments_and_one_row_per_observation():
     assert peak / n < 26
 
 
+def test_run_test_finds_no_spread_without_copying_the_moments():
+    # poisson moments are 8 B per observation and the scratch row 8 B. The
+    # first and last observations are equal, so the row is a candidate for
+    # a constant moment; as every row of the block is one, its moments are
+    # compared where they lie (1 B of verdicts per observation), not in an
+    # 8 B copy
+    n = 2**17
+    data = np.random.default_rng(1).poisson(4, n).astype(float)
+    data[-1] = data[0]
+    tracemalloc.start()
+    try:
+        run_test(data, get_model("poisson"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"[memory] run_test, poisson candidate row: {peak / n:.2f} B per observation (bound 16.5)")
+    assert peak / n < 16.5
+
+
 def _counting(model):
     calls = {"psi": 0}
 
@@ -651,6 +670,46 @@ def test_pieces_name_a_theta_whose_mean_overflows():
     with pytest.raises(ValueError, match=r"plug-in covariance overflows .*1e-100.*'gamma'"):
         sigma_hat(x, (1e10, 1e-100), g)
 
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_plug_in_covariance_that_overflows_is_named_alike_everywhere():
+    # a closed form off by 5e-9 fits a sample near 1e165: the residual
+    # 5.0e156 is inside its bound 1.0e157, but r r' overflows. The test, its
+    # location-only variant and sigma_hat at the estimate raise one error,
+    # with no warning; in a block, only that row fails
+    sloppy = dataclasses.replace(
+        get_model("poisson"),
+        name="sloppy",
+        inverse_mean=lambda v: np.asarray(v, dtype=float) * (1 + 5e-9),
+    )
+    x = 1e165 * (1 + 1e-14 * np.random.default_rng(0).standard_normal(200))
+    fit = mme(x, sloppy)
+    assert 4.9e156 < fit.residual_norm < 1e-8 * (1.0 + 1e165)
+    message = (
+        "the plug-in covariance overflows at theta = [1.0000000050000001e+165] "
+        "for model 'sloppy'"
+    )
+    calls = [
+        lambda: run_test(x, sloppy),
+        lambda: detect(x, sloppy),
+        lambda: sigma_hat(x, fit.theta, sloppy),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+    ordinary = np.random.default_rng(1).poisson(4.0, (3, 200)).astype(float)
+    block = np.vstack([ordinary[:2], x, ordinary[2:]])
+    rows = zprocess._statistic(block, zprocess._psi(block, sloppy), sloppy, {})
+    for i, row in enumerate(block):
+        alone = _outcome(sloppy, row)
+        if i == 2:
+            assert alone == (ValueError, message)
+            assert (type(rows.errors[i]), str(rows.errors[i])) == alone
+        else:
+            assert rows.errors[i] is None
+            _same(alone, (rows.paths[i], rows.sigma[i], rows.theta[i], rows.k_hat[i]))
 
 def test_t_path_names_a_path_that_overflows():
     # a finite mean (1e110, 1e220) whose whitened drift overflows when squared
