@@ -9,7 +9,7 @@ coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +64,9 @@ def newton_solve(target, model: MomentModel, theta_init) -> MMEResult:
     most 40 times. An initial point that already meets tolerance is
     returned unchanged with ``iterations == 0``. The Jacobian test divides
     each column of ``jacobian(theta)`` by its largest magnitude, so
-    rescaling theta does not change it.
+    rescaling theta does not change it. This is the Newton iteration of
+    :func:`mme` too, which runs it in the sample's whitened coordinates;
+    here target and mean are taken as they are.
 
     Raises
     ------
@@ -86,35 +88,44 @@ def newton_solve(target, model: MomentModel, theta_init) -> MMEResult:
         )
     if not np.isfinite(target).all():
         raise ValueError(f"target {target.tolist()} is not finite")
-    theta = model.require(theta_init).copy()
+    return _newton(target, model, theta_init, np.eye(model.dim))
+
+
+def _newton(target, model: MomentModel, theta, l_inv) -> MMEResult:
+    """The iteration of :func:`newton_solve` on ``l_inv @ mean(theta) = target``.
+
+    ``mean`` (through ``_matvec``) and ``jacobian`` are multiplied by the
+    ``(dim, dim)`` matrix ``l_inv`` at every iterate, so the step, its
+    damping, the stop and the Jacobian test are judged in those
+    coordinates; ``target`` is a finite ``(dim,)`` vector already in them.
+    """
+    theta = model.require(theta).copy()
     scale = 1.0 + float(_norms(target[None])[0])
 
-    residual = np.asarray(model.mean(theta), dtype=float) - target
+    residual = _matvec(l_inv, model.mean(theta)) - target
     res_norm = float(_norms(residual[None])[0])
     for iteration in range(_MAX_ITER):
         if res_norm <= _NEWTON_TOL * scale:
             return MMEResult(theta, res_norm, iteration, "newton")
-        jac = np.asarray(model.jacobian(theta), dtype=float)
+        jac = l_inv @ np.asarray(model.jacobian(theta), dtype=float)
         if _near_singular(jac):
             raise SingularJacobian(
                 f"singular jacobian for model {model.name!r} at {theta!r}"
             )
         step = np.linalg.solve(jac, residual)
-        accepted = False
         damping = 1.0
         for _ in range(_MAX_HALVINGS + 1):
             candidate = theta - damping * step
             if model.contains(candidate):
                 # a residual that is not finite fails the comparison below
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    cand_res = np.asarray(model.mean(candidate), dtype=float) - target
+                    cand_res = _matvec(l_inv, model.mean(candidate)) - target
                     cand_norm = float(_norms(cand_res[None])[0])
                 if cand_norm < res_norm:
                     theta, residual, res_norm = candidate, cand_res, cand_norm
-                    accepted = True
                     break
             damping /= 2.0
-        if not accepted:
+        else:
             raise NoConvergence(
                 f"newton stalled for model {model.name!r} at {theta!r} "
                 f"(residual {res_norm:.3e})"
@@ -322,30 +333,21 @@ _DEGENERATE = (
 )
 
 
-def _whitened(model: MomentModel, cov: np.ndarray):
-    """``model`` seen through ``L^-1 psi``, and ``L^-1``, with ``L`` the
-    Cholesky factor of the positive definite ``cov``."""
-    l_inv = np.linalg.inv(np.linalg.cholesky(cov))
-    view = replace(
-        model,
-        mean=lambda theta: _matvec(l_inv, model.mean(theta)),
-        jacobian=lambda theta: l_inv @ model.jacobian(theta),
-    )
-    return view, l_inv
-
-
 def _solve(psi_bar: np.ndarray, model: MomentModel, errors: list, cov):
     """Solve ``mean(theta) = psi_bar`` for each row of an ``(m, dim)`` array.
 
     Rows whose entry of ``errors`` is set are skipped. A closed-form model
     takes one ``inverse_mean`` call on the other rows and never reads
-    ``cov``, which may then be None. A Newton-only model takes one
-    :func:`newton_solve` per row from ``init_guess``, in the row's whitened
-    coordinates: target and mean are multiplied by ``L^-1``, with ``L`` the
+    ``cov``, which may then be None. A Newton-only model runs the Newton
+    iteration of :func:`newton_solve` (its private core :func:`_newton`)
+    once per row from ``init_guess``, in the row's whitened coordinates:
+    target, mean and Jacobian are multiplied by ``L^-1``, with ``L`` the
     Cholesky factor of the row's positive definite covariance ``cov[i]``
-    (``cov`` an ``(m, dim, dim)`` array), so that the step, its damping,
-    the stop and the Jacobian test do not depend on an affine map of
-    ``psi`` or a rescaling of theta.
+    (``cov`` an ``(m, dim, dim)`` array; the factors of all these rows are
+    taken and inverted as one stack), so that the step, its damping, the
+    stop and the Jacobian test do not depend on an affine map of ``psi``
+    or a rescaling of theta; :func:`newton_solve` runs the same core with
+    ``L^-1`` the identity.
     Then one domain check, one ``mean`` call and the residual bound that
     :func:`mme` documents cover every row, each failing a row through
     :func:`_fail`, so a row keeps its first error. A row that fails gets
@@ -358,18 +360,18 @@ def _solve(psi_bar: np.ndarray, model: MomentModel, errors: list, cov):
     rows = np.flatnonzero([e is None for e in errors])
     # a moment vector on the edge of the domain (m2 == m1^2, or m == 0)
     # maps to inf or NaN under inverse_mean or init_guess; the domain check
-    # below, or newton_solve, rejects it
+    # below, or _newton, rejects it
     with np.errstate(divide="ignore", invalid="ignore"):
         if model.inverse_mean is None:
             if rows.size and model.init_guess is None:
                 raise ValueError(
                     f"model {model.name!r} has no inverse_mean or init_guess"
                 )
-            for i in rows:
+            l_inv = np.linalg.inv(np.linalg.cholesky(cov[rows]))
+            for i, whiten in zip(rows, l_inv):
                 start = model.init_guess(psi_bar[i])
-                view, l_inv = _whitened(model, cov[i])
                 try:
-                    fit = newton_solve(_matvec(l_inv, psi_bar[i]), view, start)
+                    fit = _newton(_matvec(whiten, psi_bar[i]), model, start, whiten)
                 except EstimationError as exc:
                     errors[i] = exc
                     continue

@@ -54,7 +54,11 @@ def _check(num: int, ok: bool, detail: str) -> None:
 
 def test_criterion_01_critical_value_window():
     start = time.time()
-    table = critical_value(2, level=0.05, replications=200_000, grid=10_000, seed=100003)
+    # the draws are the same for any jobs (test_limits); two workers only
+    # shorten the wall time
+    table = critical_value(
+        2, level=0.05, replications=200_000, grid=10_000, seed=100003, jobs=2
+    )
     elapsed = time.time() - start
     value = table.quantiles[0.05]
     stderr = table.standard_errors[0.05]
@@ -293,7 +297,9 @@ def test_criterion_08_jacobian_and_sampler_moments():
 
 
 def test_criterion_09_one_dimensional_anchor():
-    table = critical_value(1, level=0.05, replications=200_000, grid=10_000, seed=909)
+    table = critical_value(
+        1, level=0.05, replications=200_000, grid=10_000, seed=909, jobs=2
+    )
     value = table.quantiles[0.05]
     ok = abs(value - 1.844) <= 0.03
     detail = f"d=1 level=0.05 R=2e5 G=1e4 -> {value:.4f}, analytic anchor 1.844 +/- 0.03"

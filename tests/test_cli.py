@@ -464,6 +464,19 @@ class TestSimulateCommand:
         total = sum(int(r["count"]) for r in hist)
         assert total == 8 - int(row["n_failed"])
 
+    def test_a_config_without_a_change(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        config = {"model": "gamma", "theta0": [1.0, 1.0], "n": 60, "m": 8, "seed": 9}
+        path.write_text(json.dumps({**config, "histogram_bins": 0}))
+        prefix = str(tmp_path / "result")
+        assert main(["simulate", str(path), "--out", prefix]) == 0
+        line = capsys.readouterr().out.strip()
+        assert line.startswith("gamma n=60 m=8 (no change): reject rate ")
+        assert line.endswith("(failed 0)")
+        # no histogram: the histogram file holds its header alone
+        with open(prefix + "_hist.csv", newline="") as handle:
+            assert handle.read() == "ustar,n,bin_left,bin_right,count\r\n"
+
     def test_seed_override_changes_the_stream(self, config_file, capsys):
         main(["simulate", config_file, "--json"])
         base = json.loads(capsys.readouterr().out)

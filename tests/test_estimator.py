@@ -226,6 +226,32 @@ def test_newton_rejects_out_of_domain_start():
         newton_solve(np.array([2.0, 6.0]), gamma_model(), (-1.0, 1.0))
 
 
+# exponential with a Jacobian 50 times too steep: each Newton step is 50
+# times too short, so the residual falls only linearly, by about 2 % a step
+STEEP_EXPONENTIAL = dataclasses.replace(
+    exponential_model(),
+    inverse_mean=None,
+    init_guess=lambda m: np.array([1.0]),
+    jacobian=lambda theta: np.array([[-50.0 / float(theta[0]) ** 2]]),
+)
+
+
+def test_newton_stops_at_its_iteration_cap():
+    with pytest.raises(
+        NoConvergence,
+        match=re.escape("newton did not reach tolerance in 100 iterations (residual 3.874e-01)"),
+    ):
+        newton_solve([4.0], STEEP_EXPONENTIAL, (1.0,))
+    # in a block, each row meets the cap in its own whitened coordinates
+    block = np.random.default_rng(6).exponential(0.25, size=(3, 200))
+    fit = _fit(block, _psi(block, STEEP_EXPONENTIAL), STEEP_EXPONENTIAL, {})
+    for row, error in zip(block, fit.errors):
+        with pytest.raises(NoConvergence, match="in 100 iterations") as alone:
+            mme(row, STEEP_EXPONENTIAL)
+        assert type(error) is NoConvergence and str(error) == str(alone.value)
+    assert np.isnan(fit.theta).all() and (fit.iterations == 0).all()
+
+
 def _squared_mean_model() -> MomentModel:
     # mean(theta) = theta^2 is not injective and has no root for negative
     # targets; the solver must fail loudly rather than loop.

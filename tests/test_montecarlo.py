@@ -23,6 +23,7 @@ from momentcpt import (
     EstimationError,
     ExperimentConfig,
     SingularCovariance,
+    SingularJacobian,
     affine_transform,
     alternative_oracle,
     bernoulli_model,
@@ -179,6 +180,16 @@ class TestAlternativeOracle:
         with pytest.raises(SingularCovariance, match="mixture covariance"):
             alternative_oracle(flat, (1.0,), (2.0,), 0.5)
 
+    def test_a_failed_fit_of_the_mixed_moments_is_raised(self):
+        flat = replace(
+            gamma_model(),
+            inverse_mean=None,
+            init_guess=lambda m: np.array([1.0, 1.0]),
+            jacobian=lambda theta: np.zeros((2, 2)),
+        )
+        with pytest.raises(SingularJacobian, match="singular jacobian for model 'gamma'"):
+            alternative_oracle(flat, (1.0, 1.0), (2.0, 1.0), 0.5)
+
 
 @given(
     u_hats=st.lists(
@@ -298,6 +309,10 @@ class TestRunExperiment:
             run_experiment(config)
         with pytest.raises(EstimationError, match="all replications failed"):
             sup_zn_gap(bernoulli_model(), (1e-9,), n=5, reps=10)
+        # a sweep names the size at which every replication failed
+        change = replace(config, theta0=(0.001,), theta1=(0.002,), ustar=0.5, n=3, m=5)
+        with pytest.raises(EstimationError, match=r"all 5 replications failed at n = 3"):
+            consistency_diagnostics(change, (3,))
 
     def test_critical_value_is_checked_as_run_test_checks_it(self, monkeypatch, tmp_path):
         # a NaN table value used to give critical_value=nan and no rejection

@@ -516,21 +516,29 @@ def test_run_test_leaves_the_callers_data_alone(name):
     assert np.array_equal(data, kept)
 
 
+def _entry_points(data, model, theta):
+    """Calls of the five public functions that take a sample, on ``data``."""
+    return [
+        lambda: run_test(data, model, critical_value=1.0),
+        lambda: detect(data, model),
+        lambda: mme(data, model),
+        lambda: build_state(data, model),
+        lambda: sigma_hat(data, theta, model),
+    ]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_data_is_rejected_with_its_index(bad):
-    g = gamma_model()
     data = np.random.default_rng(17).gamma(2.0, 1.0, 40)
     data[17] = bad
-    theta = (2.0, 1.0)
-    calls = [
-        lambda: run_test(data, g, critical_value=1.0),
-        lambda: detect(data, g),
-        lambda: mme(data, g),
-        lambda: build_state(data, g),
-        lambda: sigma_hat(data, theta, g),
-    ]
-    for call in calls:
+    for call in _entry_points(data, gamma_model(), (2.0, 1.0)):
         with pytest.raises(ValueError, match=r"data\[17\]"):
+            call()
+
+
+def test_data_that_is_not_one_dimensional_is_rejected():
+    for call in _entry_points(np.ones((5, 4)), gamma_model(), (2.0, 1.0)):
+        with pytest.raises(ValueError, match="data must be one-dimensional"):
             call()
 
 
@@ -591,18 +599,16 @@ def test_moments_that_overflow_are_named(name):
     model = get_model(name)
     data = model.sample(SAFE_THETA[name], np.random.default_rng(5), 100)
     data[50] = 1e200  # finite, but its square is not
-    calls = [
-        lambda: run_test(data, model, critical_value=1.0),
-        lambda: detect(data, model),
-        lambda: mme(data, model),
-        lambda: build_state(data, model),
-        lambda: sigma_hat(data, SAFE_THETA[name], model),
-    ]
-    for call in calls:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=r"psi\(data\[50\]\) is not finite"):
-                call()
+    # and a constant sample: the constant-column rule zeroes the failed
+    # row's covariance, so only the zeroing of its moments keeps the later
+    # stages from a warning
+    for x, k in ((data, 50), (np.full(10, 1e200), 0)):
+        expected = rf"psi\(data\[{k}\]\) is not finite \(data\[{k}\] = 1e\+200\)"
+        for call in _entry_points(x, model, SAFE_THETA[name]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=expected):
+                    call()
 
 
 @pytest.mark.parametrize("name", ["gamma", "normal"])
