@@ -25,10 +25,10 @@ from .models import MomentModel, _ill_conditioned, _matvec, _near_singular
 __all__ = ["MMEResult", "mme", "newton_solve"]
 
 # Newton stops once the residual norm is at most _NEWTON_TOL * (1 + |target|);
-# it takes at most _MAX_ITER steps, each halved at most _MAX_HALVINGS times.
+# it takes at most _MAX_ITER steps, each halved until it lowers the residual
+# or no longer moves theta.
 _NEWTON_TOL = 1e-12
 _MAX_ITER = 100
-_MAX_HALVINGS = 40
 
 
 @dataclass(frozen=True)
@@ -57,23 +57,25 @@ def newton_solve(target, model: MomentModel, theta_init) -> MMEResult:
     """Solve ``model.mean(theta) = target`` by damped Newton iteration.
 
     A step is halved until its candidate satisfies ``model.contains`` and
-    has a smaller residual norm; a candidate whose mean overflows has no
-    finite residual and is rejected. The iteration stops once the residual
+    has a smaller residual norm, or until the halved step no longer moves
+    theta, which stalls the iteration; a mean that overflows has no finite
+    residual and is never accepted. The iteration stops once the residual
     norm is at most ``1e-12 * (1 + |target|)``, in the caller's coordinates
-    of ``target`` and ``mean``; it takes at most 100 steps, each halved at
-    most 40 times. An initial point that already meets tolerance is
-    returned unchanged with ``iterations == 0``. The Jacobian test divides
-    each column of ``jacobian(theta)`` by its largest magnitude, so
-    rescaling theta does not change it. This is the Newton iteration of
-    :func:`mme` too, which runs it in the sample's whitened coordinates;
-    here target and mean are taken as they are.
+    of ``target`` and ``mean``; it takes at most 100 steps. An initial point
+    that already meets tolerance is returned unchanged with
+    ``iterations == 0``. The Jacobian test divides each column of
+    ``jacobian(theta)`` by its largest magnitude, so rescaling theta does
+    not change it; a column that is not finite is singular. This is the
+    Newton iteration of :func:`mme` too, which runs it in the sample's
+    whitened coordinates; here target and mean are taken as they are.
 
     Raises
     ------
     SingularJacobian
-        If the Jacobian at an iterate is numerically singular.
+        If the Jacobian at an iterate is numerically singular or not finite.
     NoConvergence
-        If no acceptable step exists or the iteration budget runs out.
+        If no damped step lowers the residual or the iteration budget runs
+        out.
     OutOfDomain
         If ``theta_init`` is outside the domain.
     ValueError
@@ -98,44 +100,50 @@ def _newton(target, model: MomentModel, theta, l_inv) -> MMEResult:
     ``(dim, dim)`` matrix ``l_inv`` at every iterate, so the step, its
     damping, the stop and the Jacobian test are judged in those
     coordinates; ``target`` is a finite ``(dim,)`` vector already in them.
+    Each step is halved while it still moves theta: the damping is a power
+    of two, so once ``theta - d * step == theta`` every smaller damping
+    leaves theta where it is too, and the search stops there (or at a
+    damping of 0, for a step that is not finite).
     """
     theta = model.require(theta).copy()
     scale = 1.0 + float(_norms(target[None])[0])
-
-    residual = _matvec(l_inv, model.mean(theta)) - target
-    res_norm = float(_norms(residual[None])[0])
-    for iteration in range(_MAX_ITER):
-        if res_norm <= _NEWTON_TOL * scale:
-            return MMEResult(theta, res_norm, iteration, "newton")
-        jac = l_inv @ np.asarray(model.jacobian(theta), dtype=float)
-        if _near_singular(jac):
-            raise SingularJacobian(
-                f"singular jacobian for model {model.name!r} at {theta!r}"
-            )
-        step = np.linalg.solve(jac, residual)
-        damping = 1.0
-        for _ in range(_MAX_HALVINGS + 1):
-            candidate = theta - damping * step
-            if model.contains(candidate):
-                # a residual that is not finite fails the comparison below
-                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    # a mean or Jacobian that overflows is judged, never warned about: a
+    # residual that is not finite fails every comparison, and a Jacobian
+    # column that is not finite is singular
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        residual = _matvec(l_inv, model.mean(theta)) - target
+        res_norm = float(_norms(residual[None])[0])
+        for iteration in range(_MAX_ITER + 1):
+            if res_norm <= _NEWTON_TOL * scale:
+                return MMEResult(theta, res_norm, iteration, "newton")
+            if iteration == _MAX_ITER:
+                raise NoConvergence(
+                    f"newton did not reach tolerance in {_MAX_ITER} iterations "
+                    f"(residual {res_norm:.3e})"
+                )
+            jac = l_inv @ np.asarray(model.jacobian(theta), dtype=float)
+            if _near_singular(jac):
+                raise SingularJacobian(
+                    f"singular jacobian for model {model.name!r} at {theta!r}"
+                )
+            step = np.linalg.solve(jac, residual)
+            damping, candidate = 1.0, theta - step
+            # compared as lists: for a few coordinates numpy's != and any()
+            # cost about ten times as much, once per halving
+            while damping > 0.0 and candidate.tolist() != theta.tolist():
+                if model.contains(candidate):
                     cand_res = _matvec(l_inv, model.mean(candidate)) - target
                     cand_norm = float(_norms(cand_res[None])[0])
-                if cand_norm < res_norm:
-                    theta, residual, res_norm = candidate, cand_res, cand_norm
-                    break
-            damping /= 2.0
-        else:
-            raise NoConvergence(
-                f"newton stalled for model {model.name!r} at {theta!r} "
-                f"(residual {res_norm:.3e})"
-            )
-    if res_norm <= _NEWTON_TOL * scale:
-        return MMEResult(theta, res_norm, _MAX_ITER, "newton")
-    raise NoConvergence(
-        f"newton did not reach tolerance in {_MAX_ITER} iterations "
-        f"(residual {res_norm:.3e})"
-    )
+                    if cand_norm < res_norm:
+                        theta, residual, res_norm = candidate, cand_res, cand_norm
+                        break
+                damping /= 2.0
+                candidate = theta - damping * step
+            else:
+                raise NoConvergence(
+                    f"newton stalled for model {model.name!r} at {theta!r} "
+                    f"(residual {res_norm:.3e})"
+                )
 
 
 def _as_sample(data, min_n: int) -> np.ndarray:
@@ -320,8 +328,8 @@ def _norms(v: np.ndarray) -> np.ndarray:
     """
     with np.errstate(over="ignore"):
         out = np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
-    big = np.flatnonzero(np.isinf(out) & np.isfinite(v).all(axis=1))
-    if big.size:
+    if np.isinf(out).any():
+        big = np.flatnonzero(np.isinf(out) & np.isfinite(v).all(axis=1))
         scale = np.abs(v[big]).max(axis=1)
         with np.errstate(over="ignore"):
             out[big] = scale * _norms(v[big] / scale[:, None])

@@ -274,24 +274,21 @@ def critical_value(
     streams = _spawn_streams((seed,), n_chunks)
     tasks = [(dim, grid, s, c) for s, c in zip(streams, sizes)]
 
-    draws = np.sort(np.concatenate(_run_tasks(_chunk_worker, tasks, jobs)))
+    draws = np.concatenate(_run_tasks(_chunk_worker, tasks, jobs))
 
-    quantiles: dict[float, float] = {}
-    errors: dict[float, float] = {}
-    for lvl in levels:
-        p = 1.0 - lvl
-        quantiles[lvl] = float(np.quantile(draws, p))
-        half = math.sqrt(p * (1.0 - p) / replications)
-        lo = float(np.quantile(draws, max(p - half, 0.0)))
-        hi = float(np.quantile(draws, min(p + half, 1.0)))
-        errors[lvl] = (hi - lo) / 2.0
+    # each quantile with its binomial bracket, all levels in one partition
+    p = 1.0 - np.array(levels)
+    half = np.sqrt(p * (1.0 - p) / replications)
+    quantiles, lo, hi = np.quantile(
+        draws, [p, np.maximum(p - half, 0.0), np.minimum(p + half, 1.0)]
+    )
     return CriticalValueTable(
         dim=dim,
         grid_points=grid,
         replications=replications,
         seed=seed,
-        quantiles=quantiles,
-        standard_errors=errors,
+        quantiles=dict(zip(levels, quantiles.tolist())),
+        standard_errors=dict(zip(levels, ((hi - lo) / 2.0).tolist())),
     )
 
 

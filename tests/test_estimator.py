@@ -252,6 +252,23 @@ def test_newton_stops_at_its_iteration_cap():
     assert np.isnan(fit.theta).all() and (fit.iterations == 0).all()
 
 
+def test_newton_stalls_when_no_damped_step_lowers_the_residual():
+    # a Jacobian of the wrong sign points every step uphill, so the step is
+    # halved until it no longer moves theta
+    uphill = dataclasses.replace(
+        exponential_model(),
+        inverse_mean=None,
+        jacobian=lambda theta: np.array([[1.0 / float(theta[0]) ** 2]]),
+    )
+    with pytest.raises(
+        NoConvergence,
+        match=re.escape(
+            "newton stalled for model 'exponential' at array([1.]) (residual 3.000e+00)"
+        ),
+    ):
+        newton_solve([4.0], uphill, (1.0,))
+
+
 def _squared_mean_model() -> MomentModel:
     # mean(theta) = theta^2 is not injective and has no root for negative
     # targets; the solver must fail loudly rather than loop.
@@ -330,6 +347,35 @@ def test_newton_exponential_reaches_far_rates_from_one(rate):
     fit = mme(data, model)
     assert fit.method == "newton"
     np.testing.assert_allclose(fit.theta, mme(data, exponential_model()).theta, rtol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e13, 1e14, 1e15])
+def test_newton_halves_a_step_until_it_lands_in_the_domain(scale):
+    # from a rate of 1 the full step is about scale, so 1 - d * step stays
+    # negative until d < 1 / scale; a cap of 40 halvings stalled these
+    model = dataclasses.replace(
+        exponential_model(), inverse_mean=None, init_guess=lambda m: np.array([1.0])
+    )
+    data = np.random.default_rng(5).exponential(scale, 500)
+    fit = mme(data, model)
+    assert fit.method == "newton"
+    np.testing.assert_allclose(fit.theta, mme(data, exponential_model()).theta, rtol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "model,target,start",
+    [
+        (gamma_model(), [1.0, 2.0], (1e155, 0.1)),
+        (exponential_model(), [4.0], (1e-200,)),
+        (exponential_model(), [4.0], (1e200,)),
+    ],
+    ids=["gamma-mean-overflows", "exponential-tiny-rate", "exponential-huge-rate"],
+)
+def test_newton_judges_a_start_whose_mean_or_jacobian_is_not_finite(model, target, start):
+    # these raised a RuntimeWarning from mean, a ZeroDivisionError and an
+    # OverflowError from the exponential's Python-float Jacobian
+    with pytest.raises(SingularJacobian, match=f"singular jacobian for model {model.name!r}"):
+        newton_solve(target, model, start)
 
 
 def test_newton_converges_where_raw_damping_crawled():

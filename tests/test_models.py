@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,27 @@ def test_asymptotic_covariance_singular_jacobian():
     )
     with pytest.raises(SingularJacobian):
         asymptotic_covariance(flat, (0.0,))
+
+
+@pytest.mark.parametrize(
+    "name,theta",
+    [("exponential", (1e-200,)), ("gamma", (1.0, 1e-200))],
+)
+def test_asymptotic_covariance_names_a_jacobian_that_overflows(name, theta):
+    # lam^2 underflows to 0, so the Jacobian divides by zero; this ended in
+    # a ZeroDivisionError (exponential) or a RuntimeWarning (gamma)
+    with pytest.raises(
+        ValueError,
+        match=re.escape(f"not finite at theta = {list(theta)} for model {name!r}"),
+    ):
+        asymptotic_covariance(get_model(name), theta)
+
+
+@pytest.mark.parametrize("name,theta", [("exponential", (1e200,)), ("gamma", (1.0, 1e200))])
+def test_asymptotic_covariance_that_underflows_is_not_positive_definite(name, theta):
+    # lam^2 overflows, so C underflows to zero: not positive definite
+    with pytest.raises(np.linalg.LinAlgError):
+        asymptotic_covariance(get_model(name), theta)
 
 
 @pytest.mark.parametrize("lam", [1e-9, 1e9])

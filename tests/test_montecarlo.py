@@ -175,6 +175,14 @@ class TestAlternativeOracle:
         with pytest.raises(ValueError, match=r"mixture covariance overflows .*1e-80.*'gamma'"):
             alternative_oracle(gamma_model(), (1.0, 1.0), (1e-10, 1e-80), 0.5)
 
+    def test_an_exponential_rate_at_either_extreme_is_judged(self):
+        # cov = 1 / lam^2 used to divide Python floats: ZeroDivisionError at
+        # 1e-200 (lam^2 underflows to 0), OverflowError at 1e200
+        with pytest.raises(ValueError, match=r"mixture covariance overflows .*1e-200.*'exponential'"):
+            alternative_oracle(exponential_model(), (1e-200,), (2e-200,), 0.5)
+        with pytest.raises(SingularCovariance, match="mixture covariance"):
+            alternative_oracle(exponential_model(), (1e200,), (2e200,), 0.5)
+
     def test_singular_mixture_covariance(self):
         flat = replace(exponential_model(), cov=lambda theta: np.zeros((1, 1)))
         with pytest.raises(SingularCovariance, match="mixture covariance"):
