@@ -371,7 +371,7 @@ def _solve(psi_bar: np.ndarray, model: MomentModel, errors: list, cov):
     # below, or _newton, rejects it
     with np.errstate(divide="ignore", invalid="ignore"):
         if model.inverse_mean is None:
-            if rows.size and model.init_guess is None:
+            if model.init_guess is None:
                 raise ValueError(
                     f"model {model.name!r} has no inverse_mean or init_guess"
                 )
@@ -418,18 +418,29 @@ def _solve(psi_bar: np.ndarray, model: MomentModel, errors: list, cov):
 
 @dataclass(frozen=True)
 class _BlockFit:
-    """The fit stage on each row of an ``(m, n)`` block of samples.
+    """The fit, and then the test, on each row of an ``(m, n)`` block of samples.
 
-    ``centred`` holds the ``(m, n, dim)`` moments centred at ``psi_bar``,
-    the moment average, and ``cov`` their covariance per row, as
-    :func:`_moments` gives them. ``theta``, ``means = mean(theta)``,
-    ``residual`` and ``iterations`` describe each row's fit; a failed row has NaN ``theta``
-    and ``residual``, 0 iterations and ``means = psi_bar``, and
-    ``errors[i]`` holds the error that :func:`mme` raises for that sample
-    alone (None for a row that fit).
+    :func:`_fit` fills the fit fields. ``centred`` holds the
+    ``(m, n, dim)`` moments centred at ``psi_bar``, the moment average,
+    and ``cov`` their covariance per row, as :func:`_moments` gives them.
+    ``theta``, ``means = mean(theta)``, ``residual`` and ``iterations``
+    describe each row's fit; a failed row has NaN ``theta`` and
+    ``residual``, 0 iterations and ``means = psi_bar``, and ``errors[i]``
+    holds the error that :func:`mme` raises for that sample alone (None
+    for a row that fit).
+
+    :func:`~momentcpt.zprocess._statistic` returns the same record with
+    the test fields filled and ``centred`` None, as the moments are spent
+    by then: ``sigma[i]`` is the row's plug-in covariance, ``paths[i]``
+    its statistic path, and ``t_stats[i]`` and ``u_hats[i] = k_hat[i] / n``
+    its statistic and change fraction; ``errors[i]`` then holds the error
+    that ``run_test`` raises for that sample alone. ``t_stats`` and
+    ``u_hats`` are NaN for a failed row; ``theta`` is NaN only for a row
+    whose fit failed, not for one that fails only the plug-in covariance
+    check.
     """
 
-    centred: np.ndarray
+    centred: np.ndarray | None
     psi_bar: np.ndarray
     cov: np.ndarray
     theta: np.ndarray
@@ -437,6 +448,11 @@ class _BlockFit:
     residual: np.ndarray
     iterations: np.ndarray
     errors: list
+    sigma: np.ndarray | None = None
+    paths: np.ndarray | None = None
+    k_hat: np.ndarray | None = None
+    t_stats: np.ndarray | None = None
+    u_hats: np.ndarray | None = None
 
 
 def _fit(

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import OutOfDomain, SingularJacobian
+from .errors import OutOfDomain, SingularCovariance, SingularJacobian
 
 __all__ = [
     "MomentModel",
@@ -137,8 +137,10 @@ class MomentModel:
     dim : int
         Dimension of ``psi(x)`` and of the parameter vector theta.
     param_domain : tuple of (float, float)
-        Open interval per parameter coordinate; ``math.inf`` marks an
-        unbounded side.
+        Open interval ``(lo, hi)`` per parameter coordinate, ``dim`` of
+        them, each with ``lo < hi``; ``math.inf`` marks an unbounded side.
+        A model is checked for this when it is built, and a
+        ``ValueError`` names it otherwise.
     psi : callable
         Maps a data vector of shape ``(n,)`` to an ``(n, dim)`` array whose
         row k depends on ``x[k]`` alone, so that a block of samples can be
@@ -186,6 +188,15 @@ class MomentModel:
     sampler: Callable[[np.ndarray, np.random.Generator, int], np.ndarray]
     inverse_mean: Optional[Callable[[np.ndarray], np.ndarray]] = None
     init_guess: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def __post_init__(self):
+        if len(self.param_domain) != self.dim or not all(
+            len(pair) == 2 and pair[0] < pair[1] for pair in self.param_domain
+        ):
+            raise ValueError(
+                f"param_domain of model {self.name!r} must be {self.dim} "
+                f"pairs (lo, hi) with lo < hi, got {self.param_domain!r}"
+            )
 
     def contains(self, theta) -> bool:
         """True when theta lies strictly inside the parameter domain."""
@@ -436,8 +447,10 @@ def asymptotic_covariance(model: MomentModel, theta) -> np.ndarray:
         ``L`` the Cholesky factor of ``C`` (see ``_near_singular``): judged
         where ``psi(X)`` has unit covariance, the verdict does not depend
         on the scale of ``psi`` or of theta.
-    numpy.linalg.LinAlgError
-        If ``C`` is not positive definite.
+    SingularCovariance
+        If ``C`` is not positive definite (its Cholesky factor fails), e.g.
+        where ``C`` underflows to zero or rounding leaves it singular;
+        naming theta and the model.
     ValueError
         If ``J`` or ``C`` is not finite, naming theta and the model.
     """
@@ -451,7 +464,14 @@ def asymptotic_covariance(model: MomentModel, theta) -> np.ndarray:
             f"the jacobian or covariance is not finite at theta = "
             f"{theta.tolist()} for model {model.name!r}"
         )
-    if _near_singular(np.linalg.solve(np.linalg.cholesky(c), jac)):
+    try:
+        chol = np.linalg.cholesky(c)
+    except np.linalg.LinAlgError:
+        raise SingularCovariance(
+            f"the covariance of psi(X) is not positive definite at theta = "
+            f"{theta.tolist()} for model {model.name!r}"
+        ) from None
+    if _near_singular(np.linalg.solve(chol, jac)):
         raise SingularJacobian(
             f"jacobian of model {model.name!r} at {theta!r} is singular"
         )

@@ -455,10 +455,8 @@ def _gap_pass(model, oracle, theta0, theta1, n, reps, seed):
             z -= drift
             # squared into the path, which the test no longer reads
             _squared_norms(z, rows.paths[:, 1:])
-        yield rows.u_hats, rows.t_stats, [
-            math.sqrt(path.max())
-            for path, theta in zip(rows.paths, rows.theta)
-            if not np.isnan(theta[0])
+        yield rows.u_hats, rows.t_stats, np.sqrt(rows.paths.max(axis=1))[
+            ~np.isnan(rows.theta[:, 0])
         ]
 
 

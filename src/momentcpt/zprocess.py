@@ -27,10 +27,13 @@ sum of moments has ``k * mean(theta_hat)`` subtracted from it, a step that
 cancels digits when the data sit far from zero. The increments are
 whitened and summed in place, in the moment array, so a test holds the
 moments and one 8-byte row per observation at a time. The centring at
-``psi_bar``, the residual add and, for an even ``dim``, the running sum
-run once per pair of moment columns on their complex view (see
-:func:`~momentcpt.estimator._column_pairs`); complex addition is
-componentwise, so they give the bits of a pass per column.
+``psi_bar``, the residual add and the running sum run once per pair of
+moment columns on their complex view, and once on an odd last column
+(see :func:`~momentcpt.estimator._column_pairs`); complex addition is
+componentwise, so they give the bits of a pass per column. The core
+returns one record per block, the one that the fit builds, with the
+plug-in covariance, path, statistic and change fraction of each row
+added beside its estimate, residual and iterations.
 :func:`run_test` and :func:`detect` are its one-row case and the
 experiment harness feeds it whole blocks of replications; a row's results
 do not depend on the other rows. The public pieces :func:`build_state`,
@@ -43,12 +46,21 @@ centred moments that the path stage sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import SingularCovariance
-from .estimator import _as_sample, _column_pairs, _empty, _fail, _fit, _moments, _psi
+from .estimator import (
+    _as_sample,
+    _BlockFit,
+    _column_pairs,
+    _empty,
+    _fail,
+    _fit,
+    _moments,
+    _psi,
+)
 from .limits import _threshold
 from .models import MomentModel, _ill_conditioned, _mean_at
 
@@ -153,12 +165,12 @@ def _running_sums(z: np.ndarray) -> None:
     """In place: ``z[:, k]`` becomes ``z[:, 0] + ... + z[:, k]`` for an
     ``(m, K, dim)`` array ``z``.
 
-    Complex addition is componentwise, so for an even ``dim`` each pair of
-    columns is summed in one pass on its complex view, with the roundings
-    of two real passes.
+    One ``cumsum`` runs per pair of columns on its complex view, and one
+    on an odd last column (see :func:`~momentcpt.estimator._column_pairs`),
+    with the roundings of a pass per column.
     """
-    src = z.view(complex) if z.shape[2] % 2 == 0 else z
-    np.cumsum(src, axis=1, out=src)
+    for col in _column_pairs(z):
+        np.cumsum(col, axis=1, out=col)
 
 
 def _path(centred: np.ndarray, r: np.ndarray, chol: np.ndarray, work: dict) -> np.ndarray:
@@ -170,9 +182,9 @@ def _path(centred: np.ndarray, r: np.ndarray, chol: np.ndarray, work: dict) -> n
     In place, each increment is whitened by forward substitution with
     ``chol * sqrt(n)``, the whitened increments are summed in sequence, and
     the squared norms of the sums are the path; ``centred`` is left
-    holding the squares of the sums. ``r`` is added, and for an even
-    ``dim`` the increments are summed, in one pass per pair of columns on
-    their complex view, with the bits of a pass per column (see
+    holding the squares of the sums. ``r`` is added, and the increments
+    are summed, in one pass per pair of columns on their complex view and
+    one on an odd last column, with the bits of a pass per column (see
     :func:`~momentcpt.estimator._column_pairs`). The whitening temporary
     and then the returned ``(m, n + 1)`` path are the workspace ``work``'s
     buffer ``"row"`` (see :func:`~momentcpt.estimator._empty`), which the
@@ -189,40 +201,22 @@ def _path(centred: np.ndarray, r: np.ndarray, chol: np.ndarray, work: dict) -> n
     return path
 
 
-@dataclass(frozen=True)
-class _Rows:
-    """The test on each row of a block; ``errors[i]`` is set for a failed row.
-
-    ``theta[i]`` is the row's moment estimate, ``means[i]`` its
-    ``mean(theta)`` and ``sigma[i]`` its plug-in covariance;
-    ``t_stats[i]`` and ``u_hats[i] = k_hat[i] / n`` are its statistic and
-    change fraction. ``theta``, ``t_stats`` and ``u_hats`` are NaN for a
-    failed row. ``theta`` is NaN only for a row whose fit failed, not for
-    one that fails only the plug-in covariance check.
-    """
-
-    theta: np.ndarray
-    means: np.ndarray
-    sigma: np.ndarray
-    paths: np.ndarray
-    k_hat: np.ndarray
-    t_stats: np.ndarray
-    u_hats: np.ndarray
-    errors: list
-
-
 def _statistic(
     block: np.ndarray, moments: np.ndarray, model: MomentModel, work: dict
-) -> _Rows:
+) -> _BlockFit:
     """The change point test on every row of an ``(m, n)`` block of samples.
 
     ``moments`` are the block's moments from
     :func:`~momentcpt.estimator._psi`, which the fit centres in place.
-    The caller validates the data. A row that fails keeps the first error
-    of its checks, the one that :func:`run_test` raises for that sample
-    alone. The checks run in this order: finite moments (a ``ValueError``),
-    degeneracy (:class:`~momentcpt.errors.DegenerateSample`), the fit,
-    plug-in overflow (a ``ValueError`` from :func:`_plug_in`) and plug-in
+    The caller validates the data. Returns the record that
+    :func:`~momentcpt.estimator._fit` builds, with the test fields filled
+    and ``centred`` None, so that the spent moments are freed with the
+    caller's last reference to them, before its next block allocates its
+    own. A row that fails keeps the first error of its checks, the one
+    that :func:`run_test` raises for that sample alone. The checks run in
+    this order: finite moments (a ``ValueError``), degeneracy
+    (:class:`~momentcpt.errors.DegenerateSample`), the fit, plug-in
+    overflow (a ``ValueError`` from :func:`_plug_in`) and plug-in
     conditioning (:class:`~momentcpt.errors.SingularCovariance`). A failed
     row's path is summed from its centred moments alone, without its
     residual and with an identity factor for its covariance, so it raises
@@ -234,16 +228,21 @@ def _statistic(
     """
     m, n = block.shape
     fit = _fit(block, moments, model, work)
-    errors = fit.errors
     r = fit.psi_bar - fit.means
-    sigma = _plug_in(fit.cov, r, fit.theta, model, errors)
-    ok = np.array([e is None for e in errors])
+    sigma = _plug_in(fit.cov, r, fit.theta, model, fit.errors)
+    ok = np.array([e is None for e in fit.errors])
     chol = np.linalg.cholesky(np.where(ok[:, None, None], sigma, np.eye(model.dim)))
     paths = _path(fit.centred, np.where(ok[:, None], r, 0.0), chol, work)
     k_hat = np.argmax(paths, axis=1)
-    t_stats = np.where(ok, paths[np.arange(m), k_hat], np.nan)
-    u_hats = np.where(ok, k_hat / n, np.nan)
-    return _Rows(fit.theta, fit.means, sigma, paths, k_hat, t_stats, u_hats, errors)
+    return replace(
+        fit,
+        centred=None,
+        sigma=sigma,
+        paths=paths,
+        k_hat=k_hat,
+        t_stats=np.where(ok, paths[np.arange(m), k_hat], np.nan),
+        u_hats=np.where(ok, k_hat / n, np.nan),
+    )
 
 
 def build_state(data, model: MomentModel) -> ZProcessState:

@@ -311,6 +311,14 @@ def test_mme_without_any_starting_point():
     np.testing.assert_allclose(result.theta, mme(data, gamma_model()).theta)
 
 
+def test_a_model_without_a_starting_point_is_named_whatever_the_sample():
+    # constant data raised DegenerateSample here, other data named the model
+    bare = dataclasses.replace(gamma_model(), inverse_mean=None, init_guess=None)
+    for data in (np.full(4, 3.0), np.array([0.5, 1.0, 2.0, 4.0])):
+        with pytest.raises(ValueError, match="model 'gamma' has no inverse_mean or init_guess"):
+            mme(data, bare)
+
+
 # gamma without its closed-form inverse, started where a user might start
 # it: alpha = 1, lam = 1 / m1
 ROUGH_GAMMA = dataclasses.replace(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from momentcpt import (
     MomentModel,
     OutOfDomain,
+    SingularCovariance,
     SingularJacobian,
     affine_transform,
     asymptotic_covariance,
@@ -201,11 +203,40 @@ def test_asymptotic_covariance_names_a_jacobian_that_overflows(name, theta):
         asymptotic_covariance(get_model(name), theta)
 
 
-@pytest.mark.parametrize("name,theta", [("exponential", (1e200,)), ("gamma", (1.0, 1e200))])
+@pytest.mark.parametrize(
+    "name,theta",
+    [("exponential", (1e200,)), ("gamma", (1.0, 1e200)), ("normal", (1e8, 1.0))],
+)
 def test_asymptotic_covariance_that_underflows_is_not_positive_definite(name, theta):
-    # lam^2 overflows, so C underflows to zero: not positive definite
-    with pytest.raises(np.linalg.LinAlgError):
+    # lam^2 overflows, so C underflows to zero, or (normal) 4e16 + 2 rounds
+    # to 4e16: not positive definite. This was a bare LinAlgError.
+    with pytest.raises(
+        SingularCovariance,
+        match=re.escape(
+            f"not positive definite at theta = {[float(t) for t in theta]} "
+            f"for model {name!r}"
+        ),
+    ):
         asymptotic_covariance(get_model(name), theta)
+
+
+def test_an_ill_conditioned_covariance_still_has_an_answer():
+    # C of the gamma at a large shape is ill-conditioned but positive
+    # definite; only a failed Cholesky factor is an error
+    out = asymptotic_covariance(gamma_model(), (1e12, 1.0))
+    assert np.isfinite(out).all()
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [((-np.inf, np.inf),), ((0.0, 1.0), (2.0, 1.0)), ((0.0, np.nan), (0.0, 1.0))],
+    ids=["one-pair", "lo-above-hi", "nan"],
+)
+def test_a_model_with_a_bad_domain_is_named_when_built(domain):
+    # a one-pair domain for the normal accepted theta = (0, -1); then the
+    # oracle blamed a singular covariance and the sampler a math domain error
+    with pytest.raises(ValueError, match="param_domain of model 'normal' must be 2 pairs"):
+        dataclasses.replace(get_model("normal"), param_domain=domain)
 
 
 @pytest.mark.parametrize("lam", [1e-9, 1e9])

@@ -11,6 +11,7 @@ import pytest
 
 from momentcpt import (
     DegenerateSample,
+    EstimationError,
     OutOfDomain,
     SingularCovariance,
     affine_transform,
@@ -820,6 +821,49 @@ def test_paired_columns_give_the_per_column_bits(dim):
     assert [e is None for e in errors] == [True, False, True, True]
     _same((centred, psi_bar, cov), ref[:3])
     _same((zprocess._path(centred, r, chol, {}),), ref[3:])
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_running_sums_sum_in_place_with_the_per_column_bits(dim):
+    # one cumsum per pair of columns on its strided complex view, and one on
+    # an odd last column, writes into the array it reads: no copy of it
+    z = np.random.default_rng(dim).standard_normal((8, 2**14, dim)) * 1e3
+    ref = np.stack([np.cumsum(z[:, :, j], axis=1) for j in range(dim)], axis=2)
+    tracemalloc.start()
+    try:
+        zprocess._running_sums(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"[memory] _running_sums, dim {dim}: {peak} B for a {z.nbytes} B array")
+    assert peak < z.nbytes / 100
+    assert np.array_equal(z.view(np.uint64), ref.view(np.uint64))
+
+
+def test_the_block_record_gives_each_row_the_fit_of_mme():
+    # the test core returns the fit's own record, so a Newton-only row has
+    # the iterations and residual that mme gives that sample alone; row 2
+    # fails at the start (its whitened Jacobian at (1, 1) is singular) and
+    # row 4 is degenerate, each with 0 iterations and a NaN residual
+    model = dataclasses.replace(
+        gamma_model(), inverse_mean=None, init_guess=lambda m: np.array([1.0, 1.0])
+    )
+    block = np.random.default_rng(3).gamma(2.0, 1.0, size=(6, 400))
+    block[2] *= 1e12
+    block[4] = 3.0
+    rows = zprocess._statistic(block, zprocess._psi(block, model), model, {})
+    assert rows.centred is None
+    for i, row in enumerate(block):
+        try:
+            alone = mme(row, model)
+        except EstimationError as exc:
+            assert (type(rows.errors[i]), str(rows.errors[i])) == (type(exc), str(exc))
+            assert rows.iterations[i] == 0 and np.isnan(rows.residual[i])
+        else:
+            assert rows.errors[i] is None
+            assert rows.iterations[i] == alone.iterations > 0
+            assert rows.residual[i] == alone.residual_norm
+    assert [e is None for e in rows.errors] == [True, True, False, True, False, True]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
