@@ -133,6 +133,15 @@ def cmd_report(args) -> int:
 
 
 def cmd_critval(args) -> int:
+    # every dim and the table to update are checked before any simulation
+    for dim in args.dim:
+        limits._check_integer("dim", dim, 1)
+    existing: dict = {}
+    if args.out:
+        try:
+            existing.update(limits.read_table_file(args.out))
+        except FileNotFoundError:
+            pass
     rows: dict = {}
     for dim in args.dim:
         table = limits.critical_value(
@@ -145,13 +154,7 @@ def cmd_critval(args) -> int:
         )
         rows.update(limits.rows_from_table(table))
     if args.out:
-        merged: dict = {}
-        try:
-            merged.update(limits.read_table_file(args.out))
-        except FileNotFoundError:
-            pass
-        merged.update(rows)
-        limits.write_table_file(args.out, merged)
+        limits.write_table_file(args.out, {**existing, **rows})
     if args.json:
         _print_json(
             {

@@ -113,9 +113,10 @@ def _run_tasks(fn, tasks: list, jobs: int) -> list:
         return list(pool.map(fn, tasks))
 
 
-# Word masks and PCG64's 128-bit LCG multiplier; numpy's SeedSequence
-# constants (INIT_A/MULT_A, INIT_B/MULT_B, MIX_MULT_L/MIX_MULT_R, a pool of
-# 4 words) appear where they are used.
+# Word masks and PCG64's 128-bit LCG multiplier. The pool that a seed's
+# children share comes from SeedSequence itself; the constants of the steps
+# past it (INIT_A/MULT_A, INIT_B/MULT_B, MIX_MULT_L/MIX_MULT_R) appear where
+# they are used.
 _U32 = np.uint32
 _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
@@ -131,56 +132,41 @@ def _words(value) -> list[int]:
     return [value >> shift & _MASK32 for shift in shifts]
 
 
-def _hash_consts(const: int, mult: int):
-    """The (xor, multiplier) pairs of SeedSequence's successive word hashes."""
-    while True:
-        nxt = const * mult & _MASK32
-        yield _U32(const), _U32(nxt)
-        const = nxt
-
-
-def _hash(value: np.ndarray, consts) -> np.ndarray:
-    """SeedSequence's ``hashmix`` of uint32 words, with the next constants."""
-    xor, mult = next(consts)
-    value = (value ^ xor) * mult
+def _hash(value: np.ndarray, init: int, mult: int, skip: int, count: int) -> np.ndarray:
+    """SeedSequence's ``hashmix`` of the rows of ``value`` (uint32, ``count``
+    rows), row ``j`` with hash constant ``skip + j`` of the ``init, mult``
+    sequence."""
+    consts = np.array(
+        [init * pow(mult, k, 1 << 32) & _MASK32 for k in range(skip, skip + count + 1)],
+        _U32,
+    )[:, None]
+    value = (value ^ consts[:-1]) * consts[1:]
     return value ^ value >> _U32(16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's ``mix`` of uint32 words."""
-    out = _U32(0xCA01F9DD) * x - _U32(0x4973F715) * y
-    return out ^ out >> _U32(16)
 
 
 def _spawn_streams(entropy, count: int) -> list[tuple[int, int]]:
     """PCG64 ``(state, inc)`` of ``default_rng(c)`` for each ``c`` in
     ``SeedSequence(entropy).spawn(count)``, bit for bit.
 
-    ``entropy`` is a sequence of non-negative integers. SeedSequence's
-    entropy mixing and ``generate_state(4, uint64)`` run on uint32 arrays
-    of one word for the words every child shares, then of ``count`` words
-    once the child index is mixed in; PCG64's seeding (two LCG steps around
-    ``+= initstate``) runs in Python integers.
+    ``entropy`` is a sequence of non-negative integers. The pool that every
+    child shares is ``SeedSequence(entropy).pool``; mixing each child's
+    index into it and ``generate_state(4, uint64)`` run on ``(4, count)``
+    and ``(8, count)`` uint32 arrays, and PCG64's seeding (two LCG steps
+    around ``+= initstate``) runs in Python integers.
     """
-    words = [np.array([w], _U32) for value in entropy for w in _words(value)]
-    # a spawned child pads its run entropy with zeros to the pool size
-    words += [np.zeros(1, _U32)] * (4 - len(words))
-    words.append(np.arange(count, dtype=_U32))
-    consts = _hash_consts(0x43B0D7E5, 0x931E8875)
-    pool = [_hash(w, consts) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], consts))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], _hash(word, consts))
-    # generate_state(4, uint64): 8 words, read as little-endian pairs
-    consts = _hash_consts(0x8B51F9DD, 0x58F38DED)
-    out = [_hash(pool[i % 4], consts).astype(np.uint64) for i in range(8)]
-    s0, s1, s2, s3 = (
-        (out[i] | out[i + 1] << np.uint64(32)).tolist() for i in range(0, 8, 2)
-    )
+    n_words = sum(len(_words(value)) for value in entropy)
+    pool = np.random.SeedSequence(entropy).pool[:, None]
+    # SeedSequence's mix of the child's index into each pool word, with the
+    # hash constants after the parent's: 4 for its pool words, 12 for their
+    # cross-mix and 4 for each entropy word past the 4th
+    skip = 16 + 4 * max(n_words - 4, 0)
+    index = _hash(np.arange(count, dtype=_U32), 0x43B0D7E5, 0x931E8875, skip, 4)
+    pool = _U32(0xCA01F9DD) * pool - _U32(0x4973F715) * index
+    pool ^= pool >> _U32(16)
+    # generate_state(4, uint64): 8 words, word i hashing pool word i % 4,
+    # read as little-endian pairs
+    out = _hash(np.tile(pool, (2, 1)), 0x8B51F9DD, 0x58F38DED, 0, 8).astype(np.uint64)
+    s0, s1, s2, s3 = (out[0::2] | out[1::2] << np.uint64(32)).tolist()
     # PCG64: inc = (initseq << 1) | 1, then state = ((inc + initstate) * MULT + inc)
     incs = [(c << 65 | d << 1 | 1) & _MASK128 for c, d in zip(s2, s3)]
     return [
@@ -343,15 +329,19 @@ def read_table_file(path) -> dict[tuple[int, float], TableRow]:
     """Parse a critical-value table file.
 
     Rows are whitespace-separated ``dim level value stderr replications grid
-    seed``; blank lines and ``#`` comments are ignored. A row is rejected,
-    with a ``path: line N:`` message, unless its integer fields parse as
-    integers and the others as floats, ``dim >= 1``, ``level`` lies in
-    (0, 1), ``value`` is finite, ``stderr`` finite and non-negative,
+    seed`` in UTF-8 text; blank lines and ``#`` comments are ignored. A row
+    is rejected, with a ``path: line N:`` message, unless its integer fields
+    parse as integers and the others as floats, ``dim >= 1``, ``level`` lies
+    in (0, 1), ``value`` is finite, ``stderr`` finite and non-negative,
     ``replications >= 2`` (as :func:`critical_value` requires), ``grid >= 1``,
-    ``seed >= 0`` and no earlier row has the same ``(dim, level)``.
+    ``seed >= 0`` and no earlier row has the same ``(dim, level)``. A file
+    that is not UTF-8 is rejected with a ``path: not UTF-8 text`` message.
     """
     rows: dict[tuple[int, float], TableRow] = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not UTF-8 text") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -21,6 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import OutOfDomain, SingularCovariance, SingularJacobian
+from .limits import _is_integer
 
 __all__ = [
     "MomentModel",
@@ -135,7 +136,10 @@ class MomentModel:
     name : str
         Identifier used in registries, reports and CLI output.
     dim : int
-        Dimension of ``psi(x)`` and of the parameter vector theta.
+        Dimension of ``psi(x)`` and of the parameter vector theta: an
+        integer of at least 1, of any integral type but bool. A model is
+        checked for this when it is built, and a ``ValueError`` names it
+        otherwise.
     param_domain : tuple of (float, float)
         Open interval ``(lo, hi)`` per parameter coordinate, ``dim`` of
         them, each with ``lo < hi``; ``math.inf`` marks an unbounded side.
@@ -190,6 +194,11 @@ class MomentModel:
     init_guess: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
+        if not _is_integer(self.dim) or self.dim < 1:
+            raise ValueError(
+                f"dim of model {self.name!r} must be a positive integer, "
+                f"got {self.dim!r}"
+            )
         if len(self.param_domain) != self.dim or not all(
             len(pair) == 2 and pair[0] < pair[1] for pair in self.param_domain
         ):

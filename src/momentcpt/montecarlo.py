@@ -207,6 +207,11 @@ def _sample_block(model, theta0, theta1, ustar, n, streams, rng, work) -> np.nda
     return block
 
 
+def _failures(rows) -> Counter:
+    """The failed rows of a tested block, counted by error type name."""
+    return Counter(type(e).__name__ for e in rows.errors if e is not None)
+
+
 def _run_chunk(task):
     """Test the blocks of one worker task; ``(u_hats, t_stats, failures)`` per block.
 
@@ -224,8 +229,7 @@ def _run_chunk(task):
     for streams in blocks:
         block = _sample_block(model, theta0, theta1, ustar, n, streams, rng, work)
         rows = _statistic(block, _psi(block, model), model, work)
-        failures = Counter(type(e).__name__ for e in rows.errors if e is not None)
-        out.append((rows.u_hats, rows.t_stats, failures))
+        out.append((rows.u_hats, rows.t_stats, _failures(rows)))
     return out
 
 
@@ -432,9 +436,9 @@ def _gap_pass(model, oracle, theta0, theta1, n, reps, seed):
     each, and no raw sum of moments has ``k * mean(theta_hat)`` subtracted
     from it. The gap is squared into the spent path, so a block holds its
     sample, its moments, their copy and one scratch row. Yields per block
-    the ``u_hats`` and ``t_stats`` of every row and the gaps of the rows
-    whose fit succeeded; a row that fails only the plug-in covariance
-    check has a gap.
+    the ``u_hats`` and ``t_stats`` of every row, the gaps of the rows whose
+    fit succeeded (a row that fails only the plug-in covariance check has
+    a gap) and the failed rows counted by error type name.
     """
     drift = oracle.drift(np.arange(1, n + 1) / n)
     rng, work = np.random.Generator(np.random.PCG64()), {}
@@ -455,9 +459,8 @@ def _gap_pass(model, oracle, theta0, theta1, n, reps, seed):
             z -= drift
             # squared into the path, which the test no longer reads
             _squared_norms(z, rows.paths[:, 1:])
-        yield rows.u_hats, rows.t_stats, np.sqrt(rows.paths.max(axis=1))[
-            ~np.isnan(rows.theta[:, 0])
-        ]
+        gaps = np.sqrt(rows.paths.max(axis=1))[~np.isnan(rows.theta[:, 0])]
+        yield rows.u_hats, rows.t_stats, gaps, _failures(rows)
 
 
 def consistency_diagnostics(
@@ -500,11 +503,13 @@ def consistency_diagnostics(
         steps = _gap_pass(
             model, oracle, sized.theta0, sized.theta1, sized.n, sized.m, sized.seed
         )
-        u_hats, t_stats, gaps = map(np.concatenate, zip(*steps))
+        u_parts, t_parts, gap_parts, failure_parts = zip(*steps)
+        u_hats, t_stats, gaps = map(np.concatenate, (u_parts, t_parts, gap_parts))
         ok = ~np.isnan(u_hats)
         if not ok.any():
             raise EstimationError(
-                f"all {sized.m} replications failed at n = {sized.n}"
+                f"all {sized.m} replications failed at n = {sized.n}: "
+                f"{dict(sum(failure_parts, Counter()))!r}"
             )
         bound = oracle.detection_bound(sized.n)
         rows.append(
@@ -556,23 +561,29 @@ def sup_zn_gap(
     )
     change = theta1 is not None and not np.array_equal(theta1, theta0)
     steps = _gap_pass(model, oracle, theta0, theta1 if change else None, n, reps, seed)
-    gaps = [gap for _, _, block_gaps in steps for gap in block_gaps]
-    if not gaps:
-        raise EstimationError("all replications failed")
+    _, _, gap_parts, failure_parts = zip(*steps)
+    gaps = np.concatenate(gap_parts)
+    if not gaps.size:
+        raise EstimationError(
+            f"all replications failed: {dict(sum(failure_parts, Counter()))!r}"
+        )
     return math.fsum(gaps) / len(gaps)
 
 
 def load_config(path) -> list[ExperimentConfig]:
     """Read experiment configs from a JSON file.
 
-    The document is an object with keys ``model``, ``theta0``, ``theta1``,
-    ``ustar``, ``n``, ``m``, ``level``, ``seed`` (plus optional
-    ``histogram_bins``). ``n`` and ``ustar`` may be lists, in which case one
-    config per (ustar, n) pair is returned, ustar varying slowest.
+    The document, in UTF-8 text, is an object with keys ``model``,
+    ``theta0``, ``theta1``, ``ustar``, ``n``, ``m``, ``level``, ``seed``
+    (plus optional ``histogram_bins``). ``n`` and ``ustar`` may be lists, in
+    which case one config per (ustar, n) pair is returned, ustar varying
+    slowest.
     """
-    with open(path) as handle:
+    with open(path, encoding="utf-8") as handle:
         try:
             raw = json.load(handle)
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: not UTF-8 text") from None
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(raw, dict):

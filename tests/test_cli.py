@@ -10,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from momentcpt import read_table_file
+from momentcpt import limits, read_table_file
 from momentcpt.cli import main
 
 from conftest import run_fresh
@@ -20,6 +20,8 @@ from conftest import run_fresh
 # always rejects.
 STABLE = [1.0, 2.0, 3.0, 4.0] * 75
 SHIFTED = [1.0, 2.0, 3.0, 4.0] * 38 + [50.0, 60.0, 70.0, 80.0] * 38
+# 0xff never occurs in UTF-8
+NOT_UTF8 = b"2 0.05 \xff\n"
 
 
 def write_data(path, values, header=None, footer_comment=True):
@@ -244,6 +246,14 @@ class TestDataParsing:
         assert main(["test", str(tmp_path / "nope.txt"), "--model", "gamma"]) == 1
         capsys.readouterr()
 
+    def test_a_table_that_is_not_utf8_is_named(self, tmp_path, stable_file, capsys):
+        # the error was the codec's name alone: "error: utf-8"
+        table = tmp_path / "cv.txt"
+        table.write_bytes(NOT_UTF8)
+        argv = ["test", stable_file, "--model", "gamma", "--table", str(table)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {table}: not UTF-8 text\n"
+
 
 def test_file_errors_name_the_file_and_the_reason(tmp_path, stable_file, capsys):
     missing = str(tmp_path / "missing.txt")
@@ -413,6 +423,31 @@ class TestCritvalCommand:
         assert f"argument {option}: need at least one value" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", ["bad-dim", "not-utf8", "malformed", "directory"])
+    def test_fails_before_it_simulates(self, tmp_path, capsys, monkeypatch, case):
+        # a bad second dim or --out table failed only after every earlier
+        # dim had been simulated; a non-UTF-8 table gave "error: utf-8"
+        def simulate(*args, **kwargs):
+            raise AssertionError("critical_value was called")
+
+        monkeypatch.setattr(limits, "critical_value", simulate)
+        out = tmp_path / "cv.txt"
+        dims = "2,0" if case == "bad-dim" else "2"
+        if case == "not-utf8":
+            out.write_bytes(NOT_UTF8)
+        elif case == "malformed":
+            out.write_text("2 0.05 1.0\n")
+        elif case == "directory":
+            out = tmp_path
+        assert main(["critval", "--dim", dims, "--out", str(out)]) == 1
+        message = {
+            "bad-dim": "dim must be an integer >= 1, got 0",
+            "not-utf8": f"{out}: not UTF-8 text",
+            "malformed": f"{out}: line 1: expected 7 fields, got 3",
+            "directory": f"{out}: {os.strerror(errno.EISDIR)}",
+        }[case]
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestSimulateCommand:
     @pytest.fixture
@@ -433,6 +468,12 @@ class TestSimulateCommand:
             )
         )
         return str(path)
+
+    def test_a_config_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"model": "\xff"}')
+        assert main(["simulate", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: not UTF-8 text\n"
 
     def test_runs_and_prints_a_summary(self, config_file, capsys):
         assert main(["simulate", config_file]) == 0

@@ -170,9 +170,13 @@ def test_seeded_table_is_pinned():
 
 
 @pytest.mark.parametrize(
-    "seed", [0, 2**32 - 1, 2**64 + 3, 2**200 + 7], ids=["0", "2^32-1", "2^64+3", "2^200+7"]
+    "seed",
+    [0, 2**32 - 1, 2**64 + 3, 2**96 + 1, 2**128 + 1, 2**200 + 7],
+    ids=["0", "2^32-1", "2^64+3", "2^96+1", "2^128+1", "2^200+7"],
 )
 def test_chunk_streams_match_numpy_spawn(seed):
+    # 2^96 + 1 fills the 4-word pool alone and 2^128 + 1 is the first seed
+    # with a word past it: the two sides of the child's hash-constant skip
     states = [
         np.random.default_rng(child).bit_generator.state["state"]
         for child in np.random.SeedSequence(seed).spawn(3)

@@ -227,16 +227,29 @@ def test_an_ill_conditioned_covariance_still_has_an_answer():
     assert np.isfinite(out).all()
 
 
+_DOMAIN = "param_domain of model 'normal' must be 2 pairs"
+_DIM = "dim of model 'gamma' must be a positive integer"
+
+
 @pytest.mark.parametrize(
-    "domain",
-    [((-np.inf, np.inf),), ((0.0, 1.0), (2.0, 1.0)), ((0.0, np.nan), (0.0, 1.0))],
-    ids=["one-pair", "lo-above-hi", "nan"],
+    "name, changes, message",
+    [
+        ("normal", {"param_domain": ((-np.inf, np.inf),)}, _DOMAIN),
+        ("normal", {"param_domain": ((0.0, 1.0), (2.0, 1.0))}, _DOMAIN),
+        ("normal", {"param_domain": ((0.0, np.nan), (0.0, 1.0))}, _DOMAIN),
+        ("gamma", {"dim": 2.0}, _DIM + ", got 2.0"),
+        ("gamma", {"dim": 0, "param_domain": ()}, _DIM + ", got 0"),
+        ("gamma", {"dim": True}, _DIM + ", got True"),
+    ],
+    ids=["one-pair", "lo-above-hi", "nan", "dim-float", "dim-zero", "dim-bool"],
 )
-def test_a_model_with_a_bad_domain_is_named_when_built(domain):
+def test_a_model_with_a_bad_domain_is_named_when_built(name, changes, message):
     # a one-pair domain for the normal accepted theta = (0, -1); then the
-    # oracle blamed a singular covariance and the sampler a math domain error
-    with pytest.raises(ValueError, match="param_domain of model 'normal' must be 2 pairs"):
-        dataclasses.replace(get_model("normal"), param_domain=domain)
+    # oracle blamed a singular covariance and the sampler a math domain error.
+    # A float dim was built and ended in a bare TypeError in run_test; a zero
+    # or bool dim failed later, on the shape of psi.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dataclasses.replace(get_model(name), **changes)
 
 
 @pytest.mark.parametrize("lam", [1e-9, 1e9])

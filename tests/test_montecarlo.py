@@ -315,12 +315,14 @@ class TestRunExperiment:
             match=r"all 10 replications failed: \{'DegenerateSample': 10\}",
         ):
             run_experiment(config)
-        with pytest.raises(EstimationError, match="all replications failed"):
+        with pytest.raises(EstimationError, match="all replications failed") as exc:
             sup_zn_gap(bernoulli_model(), (1e-9,), n=5, reps=10)
-        # a sweep names the size at which every replication failed
+        assert str(exc.value).endswith(": {'DegenerateSample': 10}")
+        # a sweep names the size at which every replication failed, and why
         change = replace(config, theta0=(0.001,), theta1=(0.002,), ustar=0.5, n=3, m=5)
-        with pytest.raises(EstimationError, match=r"all 5 replications failed at n = 3"):
+        with pytest.raises(EstimationError, match=r"all 5 replications failed at n = 3") as exc:
             consistency_diagnostics(change, (3,))
+        assert str(exc.value).endswith(": {'DegenerateSample': 5}")
 
     def test_critical_value_is_checked_as_run_test_checks_it(self, monkeypatch, tmp_path):
         # a NaN table value used to give critical_value=nan and no rejection
