@@ -143,7 +143,8 @@ def cmd_critval(args) -> int:
         except FileNotFoundError:
             pass
     rows: dict = {}
-    for dim in args.dim:
+    # a dim named twice is simulated once
+    for dim in dict.fromkeys(args.dim):
         table = limits.critical_value(
             dim,
             args.level,

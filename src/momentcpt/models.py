@@ -160,6 +160,8 @@ class MomentModel:
         ``theta -> Cov_theta(psi(X))`` as a ``(dim, dim)`` array.
     sampler : callable
         ``(theta, rng, size) -> (size,)`` array of draws from the family.
+        ``theta`` is the ``(dim,)`` float array that :meth:`require`
+        returns.
     inverse_mean : callable, optional
         Closed-form inverse of ``mean``, broadcasting over leading axes in the
         same way. For a moment vector with no preimage inside
@@ -264,7 +266,7 @@ def gamma_model() -> MomentModel:
         return np.array([[c11, c12], [c12, c22]])
 
     def sampler(theta, rng, size):
-        a, lam = theta
+        a, lam = theta.tolist()
         return rng.gamma(shape=a, scale=1.0 / lam, size=size)
 
     def inverse_mean(m):
@@ -302,7 +304,7 @@ def exponential_model() -> MomentModel:
         return np.array([[1.0 / lam**2]])
 
     def sampler(theta, rng, size):
-        return rng.exponential(scale=1.0 / theta[0], size=size)
+        return rng.exponential(scale=1.0 / theta.item(0), size=size)
 
     return MomentModel(
         name="exponential",
@@ -341,7 +343,7 @@ def normal_model() -> MomentModel:
         )
 
     def sampler(theta, rng, size):
-        mu, var = theta
+        mu, var = theta.tolist()
         return rng.normal(loc=mu, scale=math.sqrt(var), size=size)
 
     def inverse_mean(m):
@@ -372,7 +374,7 @@ def poisson_model() -> MomentModel:
         return np.array([[lam]])
 
     def sampler(theta, rng, size):
-        return rng.poisson(lam=theta[0], size=size)
+        return rng.poisson(lam=theta.item(0), size=size)
 
     return MomentModel(
         name="poisson",
@@ -396,7 +398,7 @@ def bernoulli_model() -> MomentModel:
         return np.array([[p * (1.0 - p)]])
 
     def sampler(theta, rng, size):
-        return rng.binomial(1, theta[0], size=size)
+        return rng.binomial(1, theta.item(0), size=size)
 
     return MomentModel(
         name="bernoulli",

@@ -172,39 +172,45 @@ class ExperimentResult:
 def _seed_blocks(seed: int, n: int, reps: int) -> list:
     """The seed streams of ``reps`` replications of length ``n``, in blocks.
 
-    Replication ``i`` is drawn from
-    ``default_rng(SeedSequence([seed, n]).spawn(reps)[i])``. The streams are
-    computed in array steps, as the PCG64 ``(state, inc)`` pairs of those
-    generators (plain integers, so a worker task pickles cheaply); each
-    block holds the streams of one ``(rows, n)`` block of samples.
+    The streams that :func:`_replications` draws from, computed in array
+    steps as PCG64 ``(state, inc)`` pairs (plain integers, so a worker task
+    pickles cheaply); each block holds the streams of one ``(rows, n)``
+    block of samples.
     """
     streams = _spawn_streams((seed, n), reps)
     rows = max(1, min(_MC_CHUNK, _BLOCK_VALUES // n))
     return [streams[i : i + rows] for i in range(0, reps, rows)]
 
 
-def _sample_block(model, theta0, theta1, ustar, n, streams, rng, work) -> np.ndarray:
-    """One sample per seed stream, as the rows of a ``(len(streams), n)`` block.
+def _replications(model, theta0, theta1, ustar, n, blocks, work):
+    """The seeded replication pass: ``(block, moments)`` per block of streams.
 
-    Without ``theta1`` a row is ``n`` draws under ``theta0``; with it, the
+    ``blocks`` is ``_seed_blocks(seed, n, reps)``, or a run of its blocks,
+    and replication ``i`` of the ``reps`` is drawn from
+    ``default_rng(SeedSequence([seed, n]).spawn(reps)[i])``, so any
+    replication can be replayed with public numpy. Without
+    ``theta1`` a replication is ``n`` draws under ``theta0``; with it, the
     first ``floor(ustar * n + 1e-9)`` draws (see :class:`ExperimentConfig`)
     are under ``theta0`` and the rest under ``theta1``, from the same
-    stream. ``rng``, a PCG64 generator, is reset to each stream in turn.
-    The block is the workspace ``work``'s buffer ``"block"``.
+    stream. One PCG64 generator is reset to each stream in turn. The
+    ``(rows, n)`` block is the workspace ``work``'s buffer ``"block"``, so
+    the next block overwrites it, and ``moments`` is its one ``psi`` call.
+    A caller drops ``moments`` before it asks for the next block, so that
+    no two blocks' moments are alive at once.
     """
     theta0 = model.require(theta0)
-    if theta1 is None:
-        n_head = n
-    else:
+    if theta1 is not None:
         theta1 = model.require(theta1)
-        n_head = _floor_index(float(ustar), n)
-    block = _empty(work, "block", (len(streams), n))
-    for row, stream in zip(block, streams):
-        _reseed(rng, stream)
-        row[:n_head] = model.sampler(theta0, rng, n_head)
-        if theta1 is not None:
-            row[n_head:] = model.sampler(theta1, rng, n - n_head)
-    return block
+    n_head = n if theta1 is None else _floor_index(float(ustar), n)
+    rng = np.random.Generator(np.random.PCG64())
+    for streams in blocks:
+        block = _empty(work, "block", (len(streams), n))
+        for row, stream in zip(block, streams):
+            _reseed(rng, stream)
+            row[:n_head] = model.sampler(theta0, rng, n_head)
+            if theta1 is not None:
+                row[n_head:] = model.sampler(theta1, rng, n - n_head)
+        yield block, _psi(block, model)
 
 
 def _failures(rows) -> Counter:
@@ -215,26 +221,25 @@ def _failures(rows) -> Counter:
 def _run_chunk(task):
     """Test the blocks of one worker task; ``(u_hats, t_stats, failures)`` per block.
 
-    Every block of the task is drawn with one generator and tested in one
-    workspace (see :func:`~momentcpt.estimator._empty`), which supplies the
-    ``(rows, n)`` sample block and one scratch row, which the moment and
-    whitening stages use and which ends as the ``(rows, n + 1)`` path, so
-    a task holds one block's arrays however many blocks it has. The
-    returned arrays are not in the workspace.
+    Every block of the task is drawn by one :func:`_replications` pass and
+    tested in its workspace (see :func:`~momentcpt.estimator._empty`),
+    which supplies the ``(rows, n)`` sample block and one scratch row,
+    which the moment and whitening stages use and which ends as the
+    ``(rows, n + 1)`` path, so a task holds one block's arrays however many
+    blocks it has. The returned arrays are not in the workspace.
     """
     (model_name, theta0, theta1, ustar, n, blocks) = task
-    model = get_model(model_name)
-    rng, work = np.random.Generator(np.random.PCG64()), {}
+    model, work = get_model(model_name), {}
     out = []
-    for streams in blocks:
-        block = _sample_block(model, theta0, theta1, ustar, n, streams, rng, work)
-        rows = _statistic(block, _psi(block, model), model, work)
+    for block, moments in _replications(model, theta0, theta1, ustar, n, blocks, work):
+        rows = _statistic(block, moments, model, work)
+        del moments
         out.append((rows.u_hats, rows.t_stats, _failures(rows)))
     return out
 
 
-def _location_stats(u_ok: np.ndarray, ustar: float):
-    count = u_ok.size
+def _location_stats(u_ok: list[float], ustar: float):
+    count = len(u_ok)
     mean = math.fsum(u_ok) / count
     if count > 1:
         var = math.fsum((u - mean) ** 2 for u in u_ok) / (count - 1)
@@ -249,10 +254,9 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run ``config.m`` seeded replications and aggregate them.
 
-    Replication ``i`` is drawn from
-    ``default_rng(SeedSequence([seed, n]).spawn(m)[i])``, so any replication
-    can be replayed with public numpy; the streams themselves are computed
-    in array steps. The result is reproducible for a fixed config and
+    The replications are drawn by the seeded pass :func:`_replications`
+    (``m`` of them, from ``seed`` and ``n``), so any one can be replayed
+    with public numpy. The result is reproducible for a fixed config and
     identical for any ``jobs``, the number of worker processes (at least
     1; 1 runs in-process). The critical value comes from ``table``, None
     for the packaged table or the path of a table file, and is checked as
@@ -287,7 +291,8 @@ def run_experiment(
 
     u_ok = u_hats[ok]
     if config.has_change:
-        u_mean, u_sd, u_rmse = _location_stats(u_ok, config.ustar)
+        # plain floats: the sums build no numpy scalar per replication
+        u_mean, u_sd, u_rmse = _location_stats(u_ok.tolist(), config.ustar)
     else:
         u_mean = u_sd = u_rmse = None
 
@@ -425,10 +430,9 @@ class ConsistencyDiagnostics:
 def _gap_pass(model, oracle, theta0, theta1, n, reps, seed):
     """The test and the sup-gap on ``reps`` seeded samples, a block at a time.
 
-    The blocks of :func:`_seed_blocks` are drawn under ``theta0``, and
-    under ``theta1`` from ``oracle.ustar`` on unless ``theta1`` is None,
-    and tested on the statistic core with one generator and one workspace,
-    as :func:`_run_chunk` does. Each row's gap
+    The blocks are drawn by one :func:`_replications` pass from ``seed``,
+    with the change at ``oracle.ustar`` unless ``theta1`` is None, and
+    tested on the statistic core in its workspace. Each row's gap
     ``sup_k |Z_n(k/n, theta_hat) - oracle.drift(k/n)|`` is formed from a
     copy of the block's moments, taken in the workspace buffer ``"psi"``
     before the statistic core centres them: ``n Z_n(k/n)`` is the running
@@ -441,13 +445,13 @@ def _gap_pass(model, oracle, theta0, theta1, n, reps, seed):
     a gap) and the failed rows counted by error type name.
     """
     drift = oracle.drift(np.arange(1, n + 1) / n)
-    rng, work = np.random.Generator(np.random.PCG64()), {}
-    for streams in _seed_blocks(seed, n, reps):
-        block = _sample_block(model, theta0, theta1, oracle.ustar, n, streams, rng, work)
-        moments = _psi(block, model)
+    work = {}
+    blocks = _seed_blocks(seed, n, reps)
+    for block, moments in _replications(model, theta0, theta1, oracle.ustar, n, blocks, work):
         z = _empty(work, "psi", moments.shape)
         z[...] = moments
         rows = _statistic(block, moments, model, work)
+        del moments
         # the gap of a failed row, which is left out, may overflow
         with np.errstate(over="ignore", invalid="ignore"):
             # Z_n - drift in place over the copy, k = 1..n; at k = 0 both

@@ -411,6 +411,20 @@ class TestCritvalCommand:
         (row,) = read_table_file(out).values()
         assert f"critical value: {row.value:.6g} (level 0.05)" in capsys.readouterr().out
 
+    def test_a_repeated_dim_is_simulated_once(self, monkeypatch, capsys):
+        calls = []
+        simulate = limits.critical_value
+
+        def counted(dim, *args, **kwargs):
+            calls.append(dim)
+            return simulate(dim, *args, **kwargs)
+
+        monkeypatch.setattr(limits, "critical_value", counted)
+        argv = ["critval", "--dim", "2,2", "--replications", "500", "--grid", "50", "--seed", "1"]
+        assert main(argv) == 0
+        assert calls == [2]
+        assert capsys.readouterr().out.count("dim 2 ") == 1
+
     @pytest.mark.parametrize("option", ["--dim", "--level"])
     @pytest.mark.parametrize("value", ["", ","], ids=["empty", "comma"])
     def test_an_empty_list_is_a_usage_error(self, tmp_path, capsys, option, value):

@@ -464,14 +464,34 @@ SAMPLE_CASES = {
 def test_sample_block_draws_what_each_spawned_generator_draws(name):
     model, theta0, theta1, ustar = SAMPLE_CASES[name]
     seed, n, reps = 2**64 + 3, 37, 9
-    (streams,) = montecarlo._seed_blocks(seed, n, reps)
-    # a generator in another state: each stream resets it
-    rng = np.random.default_rng(12345)
-    block = montecarlo._sample_block(model, theta0, theta1, ustar, n, streams, rng, {})
+    blocks = montecarlo._seed_blocks(seed, n, reps)
+    # the pass's generator starts from fresh OS entropy: each stream resets it
+    ((block, _),) = montecarlo._replications(model, theta0, theta1, ustar, n, blocks, {})
     for row, child in zip(block, np.random.SeedSequence([seed, n]).spawn(reps)):
         rng = np.random.default_rng(child)
         expected = _reference_sample(model, theta0, theta1, ustar, n, rng)
         np.testing.assert_array_equal(row, expected)
+
+
+def test_a_user_sampler_receives_theta_as_an_array(monkeypatch):
+    # the shipped samplers read theta as plain floats; a user sampler still
+    # gets the validated array on every path that draws
+    base = gamma_model()
+    shapes = []
+
+    def sampler(theta, rng, size):
+        assert isinstance(theta, np.ndarray)
+        shapes.append(theta.shape)
+        return base.sampler(theta, rng, size)
+
+    model = replace(base, name="gamma_array_theta", sampler=sampler)
+    monkeypatch.setitem(models._REGISTRY, model.name, lambda: model)
+    theta0, theta1 = (1.0, 0.01), (1.0, 0.05)
+    run_experiment(ExperimentConfig(model=model.name, theta0=theta0, theta1=theta1, ustar=0.75, n=60, m=20))
+    sup_zn_gap(model, theta0, theta1, 0.75, n=60, reps=20)
+    model.sample(theta0, np.random.default_rng(0), 5)
+    # 20 replications of two segments each, twice, and one sample
+    assert shapes == [(2,)] * 81
 
 
 def test_gamma_experiment_outputs_are_pinned():
@@ -684,14 +704,15 @@ class TestSweep:
             psi_calls.append(x.size)
             return base.psi(x)
 
-        def sample_block(*args):
-            sampled.append(args[4])
-            return sample(*args)
+        def replications(*args):
+            for block, moments in draw(*args):
+                sampled.append(args[4])
+                yield block, moments
 
-        sample = montecarlo._sample_block
+        draw = montecarlo._replications
         counted = replace(base, psi=psi)
         monkeypatch.setattr(montecarlo, "get_model", lambda name: counted)
-        monkeypatch.setattr(montecarlo, "_sample_block", sample_block)
+        monkeypatch.setattr(montecarlo, "_replications", replications)
         consistency_diagnostics(config, n_values=(100, 400))
         # blocks of 250 and 50 replications at each n
         assert sampled == [100, 100, 400, 400]
@@ -699,7 +720,7 @@ class TestSweep:
 
     def test_an_empty_sweep_is_rejected_before_sampling(self, monkeypatch):
         config, _ = SWEEP_CONFIGS["gamma"]
-        monkeypatch.setattr(montecarlo, "_sample_block", lambda *args: pytest.fail("sampled"))
+        monkeypatch.setattr(montecarlo, "_replications", lambda *args: pytest.fail("sampled"))
         for n_values in ((), [], iter(())):
             with pytest.raises(ValueError, match="n_values"):
                 consistency_diagnostics(config, n_values)
@@ -734,6 +755,30 @@ def test_run_experiment_holds_one_block_of_moments():
     per_obs = peak / (config.m * config.n)
     print(f"[memory] run_experiment: {per_obs:.1f} B per observation (bound 34)")
     assert per_obs < 34
+
+
+def test_a_pass_of_two_blocks_holds_one_block_of_moments():
+    # the experiment and the sweep free the first block's moments before
+    # the second block's psi call, so the peak is one block's
+    n = 2000
+    config = ExperimentConfig(
+        model="gamma", theta0=(1.0, 0.01), theta1=(1.0, 0.05), ustar=0.75, n=n, m=500, seed=1
+    )
+    assert len(montecarlo._seed_blocks(config.seed, n, config.m)) == 2
+    peaks = {}
+    for name, run in (
+        ("run_experiment", lambda: run_experiment(config)),
+        ("sup_zn_gap", lambda: sup_zn_gap(gamma_model(), (1.0, 0.01), (1.0, 0.05), 0.75, n=n, reps=500, seed=1)),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            peaks[name] = tracemalloc.get_traced_memory()[1] / (250 * n)
+        finally:
+            tracemalloc.stop()
+    for name, bound in (("run_experiment", 34), ("sup_zn_gap", 54)):
+        print(f"[memory] {name}, two blocks: {peaks[name]:.1f} B per observation of one block (bound {bound})")
+    assert peaks["run_experiment"] < 34 and peaks["sup_zn_gap"] <= 54
 
 
 def test_sup_zn_gap_holds_one_block_of_sums():
