@@ -270,9 +270,11 @@ def _moments(block: np.ndarray, moments: np.ndarray, work: dict):
     ``(1/n) sum_k (psi_k - psi_bar)(psi_k - psi_bar)'`` per row, and per row
     None or the ``ValueError`` that names the first observation whose
     moments are not finite (or the sum of them that overflows), or the
-    largest observation of a row whose covariance overflows; such a row's
-    moments, ``psi_bar`` and covariance are zeroed so that the later stages
-    stay finite. Each value is a sum over one row, so a row's values do not
+    largest observation of a row whose covariance overflows, or in which a
+    moment that is not constant has a variance below the smallest normal
+    double (its digits lost to underflow); such a row's moments,
+    ``psi_bar`` and covariance are zeroed so that the later stages stay
+    finite. Each value is a sum over one row, so a row's values do not
     depend on the other rows of the block. The ``(m, n)`` product row that
     the covariance is summed from is the workspace ``work``'s buffer
     ``"row"`` (see :func:`_empty`).
@@ -307,13 +309,18 @@ def _moments(block: np.ndarray, moments: np.ndarray, work: dict):
                 np.multiply(moments[:, :, i], moments[:, :, j], out=prod)
                 cov[:, i, j] = cov[:, j, i] = prod.sum(axis=1) / n
         cov[constant[:, :, None] | constant[:, None, :]] = 0.0
-    bad = ~np.isfinite(cov).all(axis=(1, 2))
-    _fail(
-        errors,
-        bad,
-        lambda i: ValueError(f"the covariance of psi(data) overflows {_largest(block[i])}"),
-    )
-    moments[bad] = psi_bar[bad] = cov[bad] = 0.0
+        # a variance that is not a normal double has lost its digits
+        tiny = (np.diagonal(cov, axis1=1, axis2=2) < np.finfo(float).tiny) & ~constant
+    for bad, how in (
+        (~np.isfinite(cov).all(axis=(1, 2)), "overflows"),
+        (tiny.any(axis=1), "underflows"),
+    ):
+        _fail(
+            errors,
+            bad,
+            lambda i: ValueError(f"the covariance of psi(data) {how} {_largest(block[i])}"),
+        )
+        moments[bad] = psi_bar[bad] = cov[bad] = 0.0
     return moments, psi_bar, cov, errors
 
 
@@ -339,6 +346,20 @@ def _norms(v: np.ndarray) -> np.ndarray:
 _DEGENERATE = (
     "sample covariance of psi(X) is singular; the data do not identify the model"
 )
+
+
+def _far(x: np.ndarray) -> str:
+    """How far a sample that is not constant sits from zero, for the
+    :class:`DegenerateSample` message, when that is at least 1e4 standard
+    deviations (where ``psi``'s rounding of ``x**2`` loses the spread);
+    else ``""``."""
+    with np.errstate(all="ignore"):
+        dist = abs(x.mean()) / x.std()
+    return (
+        f"; the data sit about {dist:.0e} standard deviations from zero"
+        if x.min() < x.max() and 1e4 <= dist < np.inf
+        else ""
+    )
 
 
 def _solve(psi_bar: np.ndarray, model: MomentModel, errors: list, cov):
@@ -466,7 +487,11 @@ def _fit(
     :func:`_solve`, which gives a failed row its own error.
     """
     centred, psi_bar, cov, errors = _moments(block, moments, work)
-    _fail(errors, _ill_conditioned(cov), lambda i: DegenerateSample(_DEGENERATE))
+    _fail(
+        errors,
+        _ill_conditioned(cov),
+        lambda i: DegenerateSample(_DEGENERATE + _far(block[i])),
+    )
     theta, means, residual, iterations = _solve(psi_bar, model, errors, cov)
     return _BlockFit(centred, psi_bar, cov, theta, means, residual, iterations, errors)
 
@@ -494,7 +519,9 @@ def mme(data, model: MomentModel) -> MMEResult:
     ------
     DegenerateSample
         If the sample covariance of ``psi(X)`` is singular: its correlation
-        matrix has condition number above 1e12, e.g. for constant data.
+        matrix has condition number above 1e12, e.g. for constant data. For
+        data at least 1e4 standard deviations from zero, the message ends
+        with that distance.
     OutOfDomain
         If the moment average has no preimage inside the parameter domain;
         the message names the moment vector and the model.
@@ -503,8 +530,9 @@ def mme(data, model: MomentModel) -> MMEResult:
     ValueError
         If the sample is not one-dimensional, shorter than ``dim + 1`` or
         holds a non-finite value, if the moments of an observation (or
-        their sum, or their covariance) are not finite, or if the model has
-        neither ``inverse_mean`` nor ``init_guess``.
+        their sum, or their covariance) are not finite, if their covariance
+        underflows, or if the model has neither ``inverse_mean`` nor
+        ``init_guess``.
     """
     data = _as_sample(data, model.dim + 1)
     fit = _fit(data[None], _psi(data[None], model), model, {})

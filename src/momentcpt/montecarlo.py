@@ -218,6 +218,17 @@ def _failures(rows) -> Counter:
     return Counter(type(e).__name__ for e in rows.errors if e is not None)
 
 
+def _gathered(parts):
+    """The per-block parts of one pass, gathered in block order.
+
+    Each part is a tuple of arrays that ends with its block's failure
+    ``Counter``; returns each field's arrays concatenated and the counters
+    summed.
+    """
+    *arrays, failures = zip(*parts)
+    return (*map(np.concatenate, arrays), sum(failures, Counter()))
+
+
 def _run_chunk(task):
     """Test the blocks of one worker task; ``(u_hats, t_stats, failures)`` per block.
 
@@ -273,12 +284,10 @@ def run_experiment(
         (config.model, config.theta0, config.theta1, config.ustar, config.n, blocks[i : i + size])
         for i in range(0, len(blocks), size)
     ]
-    parts = [part for out in _run_tasks(_run_chunk, tasks, jobs) for part in out]
-    u_parts, t_parts, failure_parts = zip(*parts)
-    u_hats = np.concatenate(u_parts)
-    t_stats = np.concatenate(t_parts)
+    u_hats, t_stats, failures = _gathered(
+        part for out in _run_tasks(_run_chunk, tasks, jobs) for part in out
+    )
     rejects = t_stats > crit
-    failures = sum(failure_parts, Counter())
 
     ok = ~np.isnan(u_hats)
     n_completed = int(ok.sum())
@@ -504,16 +513,16 @@ def consistency_diagnostics(
     rows = []
     for n in n_values:
         sized = replace(config, n=n)
-        steps = _gap_pass(
-            model, oracle, sized.theta0, sized.theta1, sized.n, sized.m, sized.seed
+        u_hats, t_stats, gaps, failures = _gathered(
+            _gap_pass(
+                model, oracle, sized.theta0, sized.theta1, sized.n, sized.m, sized.seed
+            )
         )
-        u_parts, t_parts, gap_parts, failure_parts = zip(*steps)
-        u_hats, t_stats, gaps = map(np.concatenate, (u_parts, t_parts, gap_parts))
         ok = ~np.isnan(u_hats)
         if not ok.any():
             raise EstimationError(
                 f"all {sized.m} replications failed at n = {sized.n}: "
-                f"{dict(sum(failure_parts, Counter()))!r}"
+                f"{dict(failures)!r}"
             )
         bound = oracle.detection_bound(sized.n)
         rows.append(
@@ -564,13 +573,11 @@ def sup_zn_gap(
         model, theta0, theta0 if theta1 is None else theta1, ustar
     )
     change = theta1 is not None and not np.array_equal(theta1, theta0)
-    steps = _gap_pass(model, oracle, theta0, theta1 if change else None, n, reps, seed)
-    _, _, gap_parts, failure_parts = zip(*steps)
-    gaps = np.concatenate(gap_parts)
+    _, _, gaps, failures = _gathered(
+        _gap_pass(model, oracle, theta0, theta1 if change else None, n, reps, seed)
+    )
     if not gaps.size:
-        raise EstimationError(
-            f"all replications failed: {dict(sum(failure_parts, Counter()))!r}"
-        )
+        raise EstimationError(f"all replications failed: {dict(failures)!r}")
     return math.fsum(gaps) / len(gaps)
 
 

@@ -214,7 +214,8 @@ def _statistic(
     caller's last reference to them, before its next block allocates its
     own. A row that fails keeps the first error of its checks, the one
     that :func:`run_test` raises for that sample alone. The checks run in
-    this order: finite moments (a ``ValueError``), degeneracy
+    this order: finite moments and a covariance that neither overflows
+    nor underflows (a ``ValueError``), degeneracy
     (:class:`~momentcpt.errors.DegenerateSample`), the fit, plug-in
     overflow (a ``ValueError`` from :func:`_plug_in`) and plug-in
     conditioning (:class:`~momentcpt.errors.SingularCovariance`). A failed
@@ -253,8 +254,9 @@ def build_state(data, model: MomentModel) -> ZProcessState:
     ------
     ValueError
         If the data are not a one-dimensional vector of finite values, or
-        the moments, their sum or their covariance are not finite; these
-        are the samples that :func:`run_test` rejects with the same error.
+        the moments, their sum or their covariance are not finite, or
+        their covariance underflows; these are the samples that
+        :func:`run_test` rejects with the same error.
     """
     data = _as_sample(data, 1)
     centred, psi_bar, _, errors = _moments(data[None], _psi(data[None], model), {})
@@ -316,8 +318,9 @@ def sigma_hat(data, theta, model: MomentModel) -> np.ndarray:
         1e12.
     ValueError
         If the data are not a one-dimensional vector of finite values, or
-        the moments, their sum or their covariance are not finite; these
-        are the samples that :func:`run_test` rejects with the same error.
+        the moments, their sum or their covariance are not finite, or
+        their covariance underflows; these are the samples that
+        :func:`run_test` rejects with the same error.
         Also if ``mean(theta)`` is not finite, or if the result is not
         finite; that error names theta and the model.
     """

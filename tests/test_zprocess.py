@@ -29,7 +29,7 @@ from momentcpt import (
     z_at,
 )
 
-from momentcpt import zprocess
+from momentcpt import estimator, zprocess
 
 from conftest import SAFE_THETA, brute_force_path
 
@@ -629,6 +629,86 @@ def test_a_covariance_that_overflows_is_named(name):
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"covariance .* overflows \(data\[50\] = 1e\+100\)"):
                 call()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", ["normal", "gamma", "exponential"])
+def test_tiny_data_give_the_statistic_or_a_named_underflow(name):
+    # below about 1e-77 the variance of x**2 under psi = (x, x**2) is not a
+    # normal double: stored as 0 it made the sample degenerate, stored
+    # subnormal it moved T by up to 2.4e-5 without a warning
+    model = get_model(name)
+    draw = {
+        "normal": lambda rng: rng.standard_normal(500),
+        "gamma": lambda rng: rng.gamma(2.0, 1.0, 500),
+        "exponential": lambda rng: rng.exponential(1.0, 500),
+    }[name]
+    x = draw(np.random.default_rng(0))
+    t = run_test(x, model).t_stat
+    refused = []
+    for e in range(12, 161, 4):
+        try:
+            scaled = run_test(x * 10.0**-e, model).t_stat
+        except ValueError as exc:
+            assert str(exc).startswith("the covariance of psi(data) underflows (data[")
+            refused.append(e)
+        else:
+            assert abs(scaled - t) <= 1e-12, e
+    assert refused == list(range(80 if model.dim == 2 else 156, 161, 4))
+    # the entry points that run the moment stage name it alike, and tiny
+    # constant data stay degenerate
+    tiny = x * 1e-160
+    calls = [
+        lambda: run_test(tiny, model),
+        lambda: detect(tiny, model),
+        lambda: mme(tiny, model),
+        lambda: build_state(tiny, model),
+        lambda: sigma_hat(tiny, SAFE_THETA[name], model),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"covariance of psi\(data\) underflows \(data\["):
+            call()
+    with pytest.raises(DegenerateSample):
+        run_test(np.full(500, 1e-100), model)
+
+
+# the worst |T(x + c) / T(x) - 1| over seeds 0-19 of the shifted mean change
+# below, as psi = (x, x**2) rounds x**2 with an absolute error near eps c**2
+_SHIFT_DRIFT = {10: 4.4e-14, 1e2: 3.3e-12, 1e3: 2.5e-10, 1e4: 9.3e-8, 1e5: 3.3e-6, 3e5: 4.4e-5}
+_FAR = "; the data sit about {:.0e} standard deviations from zero"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_shift_moves_the_statistic_by_at_most_its_pinned_drift():
+    model = normal_model()
+    worst = dict.fromkeys(_SHIFT_DRIFT, 0.0)
+    for seed in range(20):
+        x = np.random.default_rng(seed).normal(0.0, 1.0, 500)
+        x[300:] += 0.5
+        t = run_test(x, model).t_stat
+        for c in worst:
+            worst[c] = max(worst[c], abs(run_test(x + c, model).t_stat / t - 1.0))
+        # about 1e6 standard deviations out, x and x**2 are collinear to
+        # within float64, and the refusal names the distance
+        far = x + 1e6
+        with pytest.raises(DegenerateSample) as exc:
+            run_test(far, model)
+        distance = _FAR.format(abs(far.mean()) / far.std())
+        assert str(exc.value) == estimator._DEGENERATE + distance
+    for c, drift in _SHIFT_DRIFT.items():
+        assert worst[c] <= 3.0 * drift, (c, worst[c])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_refusal_far_from_zero_names_the_distance_and_constant_data_do_not():
+    x = np.random.default_rng(1).gamma(1e12, 1.0, 500)
+    with pytest.raises(DegenerateSample) as exc:
+        run_test(x, gamma_model())
+    assert str(exc.value) == estimator._DEGENERATE + _FAR.format(1e6)
+    for value in (0.0, 0.1, 1e6):
+        with pytest.raises(DegenerateSample) as exc:
+            run_test(np.full(500, value), normal_model())
+        assert str(exc.value) == estimator._DEGENERATE
 
 
 def test_a_sum_of_moments_that_overflows_is_named():

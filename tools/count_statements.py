@@ -5,9 +5,12 @@ statement split over several physical lines counts once and blank or
 comment-only lines count zero. Docstrings (a string literal that opens a
 module, class or function body) are not counted.
 
-Usage: python tools/count_statements.py [PATH ...]   (default: src/momentcpt)
+Usage: python tools/count_statements.py [--functions] [PATH ...]
+(default PATH: src/momentcpt)
 
-Prints one line per file and the total.
+Prints one line per file and the total. With ``--functions``, each file's
+line is followed by one line per top-level function and class (its
+decorators, header and body) and one for the statements outside them.
 """
 
 from __future__ import annotations
@@ -27,19 +30,48 @@ def _docstrings(tree: ast.AST) -> int:
     )
 
 
-def count(path: Path) -> int:
-    """Logical statements of one file, docstrings excluded."""
+def _parse(path: Path) -> tuple[ast.Module, list[int]]:
+    """The syntax tree of one file and the line of each of its NEWLINE tokens."""
     with tokenize.open(path) as handle:
         source = handle.read()
     with open(path, "rb") as handle:
-        newlines = sum(
-            tok.type == tokenize.NEWLINE for tok in tokenize.tokenize(handle.readline)
-        )
-    return newlines - _docstrings(ast.parse(source))
+        lines = [
+            tok.start[0]
+            for tok in tokenize.tokenize(handle.readline)
+            if tok.type == tokenize.NEWLINE
+        ]
+    return ast.parse(source), lines
+
+
+def count(path: Path) -> int:
+    """Logical statements of one file, docstrings excluded."""
+    tree, lines = _parse(path)
+    return len(lines) - _docstrings(tree)
+
+
+def functions(path: Path) -> list[tuple[str, int]]:
+    """Logical statements of each top-level function and class of one file.
+
+    Returns ``(name, count)`` in source order, then ``("(module level)",
+    count)`` for the statements outside them; docstrings are excluded
+    throughout, so the counts sum to :func:`count`.
+    """
+    tree, lines = _parse(path)
+    rows, inside = [], set()
+    for node in tree.body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            own = {line for line in lines if first <= line <= node.end_lineno}
+            inside |= own
+            rows.append((node.name, len(own) - _docstrings(node)))
+    module = sum(line not in inside for line in lines)
+    rows.append(("(module level)", module - (ast.get_docstring(tree) is not None)))
+    return rows
 
 
 def main(argv: list[str]) -> int:
-    roots = [Path(arg) for arg in argv] or [Path("src/momentcpt")]
+    per_function = "--functions" in argv
+    roots = [Path(arg) for arg in argv if arg != "--functions"] or [Path("src/momentcpt")]
     files = sorted(
         f for root in roots for f in (root.rglob("*.py") if root.is_dir() else [root])
     )
@@ -48,6 +80,9 @@ def main(argv: list[str]) -> int:
         n = count(path)
         total += n
         print(f"{n:6d}  {path}")
+        if per_function:
+            for name, k in functions(path):
+                print(f"{k:10d}  {name}")
     print(f"{total:6d}  total")
     return 0
 
